@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-sim bench check trace-smoke profile-smoke bench-json bench-check fuzz-smoke adversary-smoke fleet-smoke border-matrix-smoke replay-smoke sweep-smoke serve-smoke obs-smoke
+.PHONY: all build vet test race race-sim bench check trace-smoke profile-smoke bench-json bench-check fuzz-smoke adversary-smoke fleet-smoke border-matrix-smoke replay-smoke results-smoke sweep-smoke serve-smoke obs-smoke
 
 all: check
 
@@ -96,6 +96,14 @@ border-matrix-smoke:
 	rm -f border-smoke-flat.txt
 	! grep -rn "Deprecated:" --include='*.go' .
 
+# Results smoke: every paper artifact `bctool all` prints must be
+# byte-identical to the checked-in RESULTS.txt — the end-to-end pin on the
+# figures, whichever way their cells are executed.
+results-smoke:
+	$(GO) run ./cmd/bctool all -quiet > results-smoke.txt
+	cmp results-smoke.txt RESULTS.txt
+	rm -f results-smoke.txt
+
 # Short coverage-guided runs of the fuzz targets: the border-protocol
 # differential fuzzer, the event-engine ordering fuzzer, and the trace
 # codec fuzzer. Anything they minimize lands in the package testdata/fuzz
@@ -179,4 +187,4 @@ obs-smoke:
 	! ./obs-smoke-bctool sweepdiff obs-smoke-a.csv obs-smoke-c.csv
 	rm -f obs-smoke-bctool obs-smoke-a.csv obs-smoke-b.csv obs-smoke-c.csv
 
-check: vet build test race race-sim fleet-smoke trace-smoke profile-smoke adversary-smoke border-matrix-smoke replay-smoke sweep-smoke serve-smoke obs-smoke fuzz-smoke bench-check
+check: vet build test race race-sim fleet-smoke trace-smoke profile-smoke adversary-smoke border-matrix-smoke replay-smoke results-smoke sweep-smoke serve-smoke obs-smoke fuzz-smoke bench-check

@@ -82,8 +82,26 @@ func (r *Runner) workers() int {
 // started fail with ctx.Err(). Run itself never fails — inspect the
 // results, or use FirstErr for the serial-equivalent first failure.
 func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
+	return r.run(ctx, jobs, nil)
+}
+
+// run is Run with an explicit start order: order is a permutation of the
+// job indices, and the pool starts jobs in that sequence (nil means
+// submission order). Only scheduling changes — the results, each
+// Result.Index handed to OnDone, and therefore FirstErr stay in submission
+// order.
+func (r *Runner) run(ctx context.Context, jobs []Job, order []int) []Result {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if order == nil {
+		order = make([]int, len(jobs))
+		for i := range order {
+			order[i] = i
+		}
+	}
+	if len(order) != len(jobs) {
+		panic(fmt.Sprintf("exp: start order has %d entries for %d jobs", len(order), len(jobs)))
 	}
 	results := make([]Result, len(jobs))
 	workers := r.workers()
@@ -114,13 +132,13 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 	}
 
 feed:
-	for i := range jobs {
+	for k, i := range order {
 		select {
 		case idxc <- i:
 		case <-ctx.Done():
 			// Mark this job and every later one as never started. Workers
 			// may still be finishing earlier jobs; they write other slots.
-			for j := i; j < len(jobs); j++ {
+			for _, j := range order[k:] {
 				done(Result{Index: j, Name: jobs[j].Name, Err: ctx.Err()})
 			}
 			break feed
@@ -182,6 +200,14 @@ func FirstErr(results []Result) error {
 // input order. It fails with the first error in input order (the
 // serial-equivalent failure). name labels each job for progress reporting.
 func Map[I, O any](ctx context.Context, r *Runner, items []I, name func(int, I) string, fn func(ctx context.Context, item I) (O, error)) ([]O, error) {
+	return MapOrder(ctx, r, items, nil, name, fn)
+}
+
+// MapOrder is Map with an explicit start order: order is a permutation of
+// the item indices and the pool starts items in that sequence. The
+// outputs, the first error and the indices OnDone reports stay in input
+// order.
+func MapOrder[I, O any](ctx context.Context, r *Runner, items []I, order []int, name func(int, I) string, fn func(ctx context.Context, item I) (O, error)) ([]O, error) {
 	jobs := make([]Job, len(items))
 	for i := range items {
 		i := i
@@ -191,7 +217,7 @@ func Map[I, O any](ctx context.Context, r *Runner, items []I, name func(int, I) 
 			Run:  func(ctx context.Context) (any, error) { return fn(ctx, item) },
 		}
 	}
-	results := r.Run(ctx, jobs)
+	results := r.run(ctx, jobs, order)
 	if err := FirstErr(results); err != nil {
 		return nil, err
 	}

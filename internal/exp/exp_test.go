@@ -218,6 +218,63 @@ func TestMap(t *testing.T) {
 	}
 }
 
+// TestRunOrder: jobs start in the given order, while the results, the
+// indices OnDone reports and FirstErr stay in submission order; a
+// cancellation marks every job after the cancelling one in start order as
+// never started.
+func TestRunOrder(t *testing.T) {
+	order := []int{3, 0, 5, 1, 4, 2}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started, reported []int
+	jobs := make([]Job, len(order))
+	for i := range jobs {
+		i := i
+		jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Run: func(ctx context.Context) (any, error) {
+			started = append(started, i)
+			switch i {
+			case 1, 3:
+				return nil, fmt.Errorf("planned failure %d", i)
+			case 4:
+				cancel()
+			}
+			return i * 10, nil
+		}}
+	}
+	// One worker: start order is execution order.
+	r := &Runner{Workers: 1, OnDone: func(res Result) { reported = append(reported, res.Index) }}
+	results := r.run(ctx, jobs, order)
+
+	if want := order[:5]; fmt.Sprint(started) != fmt.Sprint(want) {
+		t.Errorf("started %v, want %v", started, want)
+	}
+	if fmt.Sprint(reported[:5]) != fmt.Sprint(order[:5]) || len(reported) != len(order) {
+		t.Errorf("OnDone reported indices %v, want %v then the cancelled job", reported, order[:5])
+	}
+	for i, res := range results {
+		if res.Index != i || res.Name != fmt.Sprintf("j%d", i) {
+			t.Errorf("slot %d holds job %d (%s)", i, res.Index, res.Name)
+		}
+	}
+	if !errors.Is(results[2].Err, context.Canceled) {
+		t.Errorf("job 2 (started after the cancel) error = %v, want context.Canceled", results[2].Err)
+	}
+	if v, _ := results[5].Value.(int); v != 50 {
+		t.Errorf("job 5 value = %v, want 50", results[5].Value)
+	}
+	// Job 3 failed first in time; job 1 is first in submission order.
+	if err := FirstErr(results); err == nil || err.Error() != "planned failure 1" {
+		t.Errorf("FirstErr = %v, want planned failure 1", err)
+	}
+
+	out, err := MapOrder(context.Background(), &Runner{Workers: 4}, []int{5, 3, 8, 1}, []int{2, 0, 3, 1},
+		func(_ int, v int) string { return fmt.Sprint(v) },
+		func(_ context.Context, v int) (int, error) { return v * v, nil })
+	if err != nil || fmt.Sprint(out) != "[25 9 64 1]" {
+		t.Errorf("MapOrder = %v, %v; want [25 9 64 1] in input order", out, err)
+	}
+}
+
 // TestZeroRunner checks the zero Runner works with GOMAXPROCS workers.
 func TestZeroRunner(t *testing.T) {
 	var r Runner

@@ -2,11 +2,15 @@ package harness
 
 import (
 	"context"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"bordercontrol/internal/exp"
 	"bordercontrol/internal/stats"
 	"bordercontrol/internal/trace"
+	"bordercontrol/internal/tracerec"
 	"bordercontrol/internal/workload"
 )
 
@@ -51,27 +55,128 @@ type runSpec struct {
 	P *Params
 }
 
+// params returns the Params this run uses: its override, else the
+// sweep-wide p.
+func (s runSpec) params(p Params) Params {
+	if s.P != nil {
+		return *s.P
+	}
+	return p
+}
+
+// stream is one reference stream of a job list — a workload generator at
+// one problem scale — shared by every cell that runs it. Only the stream
+// matters to timing and a replayed recording is bit-identical to a live
+// run (DESIGN.md §15), so the list records each stream once and its cells
+// replay the recording instead of re-running the generator. The first cell
+// to need the stream records it, concurrent cells of the stream wait for
+// that recording, and the last cell to finish drops it.
+type stream struct {
+	spec  workload.Spec
+	scale int
+
+	once   sync.Once
+	replay workload.Spec // valid after once, unless err
+	err    error
+
+	// left counts the list's cells of this stream that have not finished.
+	left atomic.Int64
+}
+
+// get records the stream on first use and returns its replay spec.
+func (st *stream) get() (workload.Spec, error) {
+	st.once.Do(func() {
+		tr, err := tracerec.Record(st.spec, st.scale)
+		if err == nil {
+			st.replay, err = tracerec.ReplaySpec(tr)
+		}
+		st.err = err
+	})
+	return st.replay, st.err
+}
+
+// done retires one cell of the stream; the last one drops the recording.
+func (st *stream) done() {
+	if st.left.Add(-1) == 0 {
+		st.replay = workload.Spec{}
+	}
+}
+
+// cell is one run of a job list with the stream it replays (nil when its
+// Params.Trace names a recording file to replay instead).
+type cell struct {
+	runSpec
+	st *stream
+}
+
+// planStreams pairs every run with its stream, keyed by workload name and
+// Params.Scale, and returns the start order: runs grouped by stream,
+// streams in order of first appearance, caller order within a stream.
+// Grouped starts keep only the streams of the runs in flight alive, about
+// one recording per worker; a list that interleaves streams (Figure 7's
+// waves) would otherwise hold every recording for the whole list.
+func planStreams(p Params, specs []runSpec) ([]cell, []int) {
+	type key struct {
+		workload string
+		scale    int
+	}
+	cells := make([]cell, len(specs))
+	group := make([]int, len(specs)) // index of the first run of each run's stream
+	first := map[key]int{}
+	for i, s := range specs {
+		cells[i].runSpec = s
+		group[i] = i
+		pp := s.params(p)
+		if pp.Trace != "" {
+			continue // replays its own recording file
+		}
+		k := key{s.Spec.Name, pp.Scale}
+		j, ok := first[k]
+		if !ok {
+			j, first[k] = i, i
+			cells[i].st = &stream{spec: s.Spec, scale: pp.Scale}
+		}
+		st := cells[j].st
+		st.left.Add(1)
+		cells[i].st = st
+		group[i] = j
+	}
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return group[order[a]] < group[order[b]] })
+	return cells, order
+}
+
 // runAll executes the specs — each on a fresh System — through the
 // experiment runner and returns their results in submission order, so
 // callers can assemble artifacts exactly as a serial loop would have. The
 // first error in submission order (the one a serial sweep would have
-// stopped at) fails the whole sweep.
+// stopped at) fails the whole sweep. Each reference stream is recorded
+// once per call and replayed into every run of it (see stream); a failed
+// recording fails each run that needed it with a build-stage *RunError.
 func runAll(ctx context.Context, ex Exec, p Params, specs []runSpec) ([]RunResult, error) {
-	return exp.Map(ctx, ex.runner(), specs,
-		func(_ int, s runSpec) string { return s.Label },
-		func(ctx context.Context, s runSpec) (RunResult, error) {
-			opts := s.Opts
+	cells, order := planStreams(p, specs)
+	return exp.MapOrder(ctx, ex.runner(), cells, order,
+		func(_ int, c cell) string { return c.Label },
+		func(ctx context.Context, c cell) (RunResult, error) {
+			opts := c.Opts
 			if ex.Trace != nil {
-				opts.Tracer = ex.Trace.New(s.Label)
+				opts.Tracer = ex.Trace.New(c.Label)
 			}
 			if opts.Shards == 0 {
 				opts.Shards = ex.Shards
 			}
-			pp := p
-			if s.P != nil {
-				pp = *s.P
+			spec := c.Spec
+			if c.st != nil {
+				defer c.st.done()
+				var err error
+				if spec, err = c.st.get(); err != nil {
+					return RunResult{}, &RunError{Workload: c.Spec.Name, Mode: c.Mode, Class: c.Class, Stage: "build", Err: err}
+				}
 			}
-			return RunCtx(ctx, s.Mode, s.Class, s.Spec, pp, opts)
+			return RunCtx(ctx, c.Mode, c.Class, spec, c.params(p), opts)
 		})
 }
 

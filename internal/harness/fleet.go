@@ -12,6 +12,7 @@ import (
 	"bordercontrol/internal/hostos"
 	"bordercontrol/internal/sim"
 	"bordercontrol/internal/stats"
+	"bordercontrol/internal/tracerec"
 	"bordercontrol/internal/workload"
 )
 
@@ -173,8 +174,9 @@ func RunFleet(p Params, fp FleetParams, spec workload.Spec) (FleetResult, error)
 // RunFleetCtx assembles and executes a fleet: fp.Tenants accelerator
 // systems on shards 1..N, a host coordinator on shard 0, and the launch /
 // completion / downgrade border traffic between them as conservative
-// cross-shard messages. Cancellation is cooperative via ctx and stops
-// every shard promptly.
+// cross-shard messages. Every tenant runs the same reference stream, so
+// the workload is recorded once and replayed into each tenant's process.
+// Cancellation is cooperative via ctx and stops every shard promptly.
 func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Spec) (FleetResult, error) {
 	if err := fp.Validate(); err != nil {
 		return FleetResult{}, err
@@ -185,6 +187,11 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 			Mode:     fp.Mode, Class: fp.Class, Stage: stage, Err: err,
 		}
 	}
+	tr, err := tracerec.Record(spec, p.Scale)
+	if err != nil {
+		return FleetResult{}, &RunError{Workload: "fleet/" + spec.Name, Mode: fp.Mode, Class: fp.Class, Stage: "build", Err: err}
+	}
+	seg := &tr.Segments[0]
 
 	se := sim.NewShardedEngine(fp.Tenants+1, fp.Lookahead)
 	se.Workers = fp.Workers
@@ -206,7 +213,7 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 			return fail(i, "start", err)
 		}
 		te.proc = proc
-		prog, err := spec.Build(proc, p.Scale)
+		prog, err := tracerec.BuildSegment(proc, seg)
 		if err != nil {
 			return fail(i, "build", err)
 		}

@@ -16,10 +16,11 @@ import (
 // every workload, recording its reference trace once and replaying it
 // through the full border/ATS/cache path produces artifacts byte-identical
 // to running the generator live — same simulated runtime, same event
-// count, same full stats snapshot — across all four protocol variants
+// count, same full stats snapshot — in all five modes on both GPU classes
+// (every cell the figures replay), and across all four protocol variants
 // (BCNoBCC/BCBCC x SelectiveFlush) and all three border designs. This is
-// what lets a sweep record once and fan a thousand cells out over one
-// decode.
+// what lets a figure or a sweep record once and fan its cells out over one
+// recording.
 func TestReplayMatchesLiveGolden(t *testing.T) {
 	specs := workload.All()
 	if testing.Short() {
@@ -42,49 +43,68 @@ func TestReplayMatchesLiveGolden(t *testing.T) {
 				for _, border := range []string{"flat", "sparta", "range"} {
 					name := fmt.Sprintf("%s/%v/sf=%v/%s", spec.Name, mode, selective, border)
 					t.Run(name, func(t *testing.T) {
+						t.Parallel() // every cell is an independent simulation
 						p := DefaultParams()
 						p.SelectiveFlush = selective
 						p.Border = border
-						live, err := Run(mode, ModeratelyThreaded, spec, p, RunOptions{})
-						if err != nil {
-							t.Fatalf("live: %v", err)
-						}
-						rp := p
-						rp.Trace = dir
-						rep, err := Run(mode, ModeratelyThreaded, spec, rp, RunOptions{})
-						if err != nil {
-							t.Fatalf("replay: %v", err)
-						}
-						if live.VerifyErr != nil || rep.VerifyErr != nil {
-							t.Fatalf("verify: live=%v replay=%v", live.VerifyErr, rep.VerifyErr)
-						}
-						if live.Runtime != rep.Runtime {
-							t.Errorf("sim_ps: live %d, replay %d", live.Runtime, rep.Runtime)
-						}
-						if live.Host.Events != rep.Host.Events {
-							t.Errorf("events: live %d, replay %d", live.Host.Events, rep.Host.Events)
-						}
-						if live.Ops != rep.Ops || live.BCChecks != rep.BCChecks ||
-							live.BCCMissRatio != rep.BCCMissRatio {
-							t.Errorf("counters diverged: live ops=%d checks=%d miss=%g, replay ops=%d checks=%d miss=%g",
-								live.Ops, live.BCChecks, live.BCCMissRatio,
-								rep.Ops, rep.BCChecks, rep.BCCMissRatio)
-						}
-						lj, err := json.Marshal(live.Stats)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rj, err := json.Marshal(rep.Stats)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(lj, rj) {
-							t.Errorf("stats snapshots differ:\n live  %s\n replay %s", lj, rj)
-						}
+						checkReplayMatchesLive(t, mode, ModeratelyThreaded, spec, p, dir)
 					})
 				}
 			}
 		}
+		for _, class := range []GPUClass{HighlyThreaded, ModeratelyThreaded} {
+			for _, mode := range Modes() {
+				if (mode == BCNoBCC || mode == BCBCC) && class == ModeratelyThreaded {
+					continue // the protocol variants above cover these cells
+				}
+				t.Run(fmt.Sprintf("%s/%v/%v", spec.Name, mode, class), func(t *testing.T) {
+					t.Parallel()
+					checkReplayMatchesLive(t, mode, class, spec, DefaultParams(), dir)
+				})
+			}
+		}
+	}
+}
+
+// checkReplayMatchesLive runs one cell live and replayed from the
+// recordings in dir, and requires identical results.
+func checkReplayMatchesLive(t *testing.T, mode Mode, class GPUClass, spec workload.Spec, p Params, dir string) {
+	t.Helper()
+	live, err := Run(mode, class, spec, p, RunOptions{})
+	if err != nil {
+		t.Fatalf("live: %v", err)
+	}
+	rp := p
+	rp.Trace = dir
+	rep, err := Run(mode, class, spec, rp, RunOptions{})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if live.VerifyErr != nil || rep.VerifyErr != nil {
+		t.Fatalf("verify: live=%v replay=%v", live.VerifyErr, rep.VerifyErr)
+	}
+	if live.Runtime != rep.Runtime {
+		t.Errorf("sim_ps: live %d, replay %d", live.Runtime, rep.Runtime)
+	}
+	if live.Host.Events != rep.Host.Events {
+		t.Errorf("events: live %d, replay %d", live.Host.Events, rep.Host.Events)
+	}
+	if live.Ops != rep.Ops || live.BCChecks != rep.BCChecks ||
+		live.BCCMissRatio != rep.BCCMissRatio {
+		t.Errorf("counters diverged: live ops=%d checks=%d miss=%g, replay ops=%d checks=%d miss=%g",
+			live.Ops, live.BCChecks, live.BCCMissRatio,
+			rep.Ops, rep.BCChecks, rep.BCCMissRatio)
+	}
+	lj, err := json.Marshal(live.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rj, err := json.Marshal(rep.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lj, rj) {
+		t.Errorf("stats snapshots differ:\n live  %s\n replay %s", lj, rj)
 	}
 }
 

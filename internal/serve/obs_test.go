@@ -35,21 +35,37 @@ func TestServeObservationPurity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Observed: scrapers and watchers run through the whole job.
+	// Observed: scrapers and watchers run through the whole job. Each
+	// watcher tails the firehose until it has read the job's final state
+	// event; the scrapers run until the artifact is fetched.
 	_, c := startTestServer(t, Options{Version: "test"})
 	obsCtx, stopObs := context.WithCancel(ctx)
 	defer stopObs()
 	var wg sync.WaitGroup
 	var watched []WatchEvent
 	var watchedMu sync.Mutex
-	for i := 0; i < 2; i++ {
+	// finals[i] receives the job of each terminal state event watcher i
+	// reads (this daemon runs one job, so one); stopWatch[i] ends that
+	// watcher's tail.
+	var finals [2]chan string
+	var stopWatch [2]context.CancelFunc
+	for i := range finals {
+		finals[i] = make(chan string, 1)
+		var wctx context.Context
+		wctx, stopWatch[i] = context.WithCancel(obsCtx)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = c.Watch(obsCtx, 0, func(we WatchEvent) {
+			_ = c.Watch(wctx, 0, func(we WatchEvent) {
 				watchedMu.Lock()
 				watched = append(watched, we)
 				watchedMu.Unlock()
+				if we.Type == "state" && terminal(we.Msg) {
+					select {
+					case finals[i] <- we.Job:
+					case <-wctx.Done():
+					}
+				}
 			})
 		}()
 	}
@@ -80,6 +96,19 @@ func TestServeObservationPurity(t *testing.T) {
 	got, err := c.Artifact(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A watcher's tail closes only once it has read the job's final state
+	// event, so every watcher holds the job's whole event sequence.
+	deadline := time.After(10 * time.Second)
+	for i := range finals {
+		for job := ""; job != st.ID; {
+			select {
+			case job = <-finals[i]:
+			case <-deadline:
+				t.Fatalf("watcher %d never read job %s's final state event", i, st.ID)
+			}
+		}
+		stopWatch[i]()
 	}
 	stopObs()
 	wg.Wait()

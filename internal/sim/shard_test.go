@@ -129,25 +129,32 @@ type shardRec struct {
 // fleetRun executes a synthetic multi-shard workload: every shard runs an
 // LCG-driven self-rescheduling chain, and every few events sends a
 // timestamped message to the next shard (carrying the sender's LCG state),
-// whose receipt schedules a local follow-up. It returns the per-shard
+// whose receipt schedules a local follow-up. A receipt runs on the
+// receiving shard, so it logs into and schedules on that shard only —
+// shards share no state, as the engine requires. It returns the per-shard
 // firing logs plus the engine's aggregate counters.
 func fleetRun(shards, workers int, lookahead Time, events int) ([][]shardRec, *ShardedEngine) {
 	se := NewShardedEngine(shards, lookahead)
 	se.Workers = workers
 	logs := make([][]shardRec, shards)
+	recv := make([]EventFunc, shards) // recv[k] handles a receipt on shard k
 	for k := 0; k < shards; k++ {
 		k := k
 		e := se.Shard(k)
-		lcg := uint64(k)*0x9e3779b97f4a7c15 + 1
-		n := 0
-		var chain, recv EventFunc
-		recv = func(now Time, arg uint64) {
+		recv[k] = func(now Time, arg uint64) {
 			logs[k] = append(logs[k], shardRec{at: now, kind: 'm', val: arg})
 			// A receipt spawns local work at a data-dependent delta.
 			e.ScheduleIntoAfter(Time(arg%97), func(now Time, arg uint64) {
 				logs[k] = append(logs[k], shardRec{at: now, kind: 'l', val: arg})
 			}, arg^0xff)
 		}
+	}
+	for k := 0; k < shards; k++ {
+		k := k
+		e := se.Shard(k)
+		lcg := uint64(k)*0x9e3779b97f4a7c15 + 1
+		n := 0
+		var chain EventFunc
 		chain = func(now Time, _ uint64) {
 			lcg = lcg*6364136223846793005 + 1442695040888963407
 			logs[k] = append(logs[k], shardRec{at: now, kind: 'l', val: lcg})
@@ -156,8 +163,8 @@ func fleetRun(shards, workers int, lookahead Time, events int) ([][]shardRec, *S
 				return
 			}
 			if n%5 == 0 {
-				dest := ShardID((k + 1) % shards)
-				e.Send(dest, now+lookahead+Time(lcg%256), recv, lcg)
+				dest := (k + 1) % shards
+				e.Send(ShardID(dest), now+lookahead+Time(lcg%256), recv[dest], lcg)
 			}
 			e.ScheduleIntoAfter(1+Time(lcg%128), chain, 0)
 		}

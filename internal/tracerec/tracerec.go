@@ -146,6 +146,11 @@ const recordMemBytes = 16 << 30
 // the reference trace. The scratch host is discarded — recordings are
 // position-independent (no frame numbers), so a trace recorded here
 // replays onto any fresh process.
+//
+// The generator's own output check runs once, on the recording: post-build
+// memory already holds the final outputs, so a generator whose Verify
+// rejects them cannot be recorded. Every replay is then held to the
+// recorded image byte for byte.
 func Record(spec workload.Spec, scale int) (*Trace, error) {
 	store, err := memory.NewStore(recordMemBytes)
 	if err != nil {
@@ -180,6 +185,13 @@ func Record(spec workload.Spec, scale int) (*Trace, error) {
 			n--
 		}
 		seg.Image = append(seg.Image, Page{VPN: vpn, Data: data[:n:n]})
+	}
+	// Verify runs after the image is taken, so nothing it touches can leak
+	// into the recording.
+	if prog.Verify != nil {
+		if err := prog.Verify(proc); err != nil {
+			return nil, fmt.Errorf("tracerec: recording %s: generator output check failed: %w", spec.Name, err)
+		}
 	}
 	return &Trace{Workload: spec.Name, Scale: scale, Segments: []Segment{seg}}, nil
 }
