@@ -1,8 +1,14 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build vet test race race-sim bench check trace-smoke profile-smoke bench-json bench-check fuzz-smoke adversary-smoke fleet-smoke border-matrix-smoke replay-smoke results-smoke sweep-smoke serve-smoke obs-smoke
+.PHONY: all fmt build vet test race race-sim bench check trace-smoke profile-smoke bench-json bench-check fuzz-smoke adversary-smoke fleet-smoke border-matrix-smoke replay-smoke results-smoke sweep-smoke serve-smoke obs-smoke
 
 all: check
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite any
+# Go file in the tree.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -187,4 +193,4 @@ obs-smoke:
 	! ./obs-smoke-bctool sweepdiff obs-smoke-a.csv obs-smoke-c.csv
 	rm -f obs-smoke-bctool obs-smoke-a.csv obs-smoke-b.csv obs-smoke-c.csv
 
-check: vet build test race race-sim fleet-smoke trace-smoke profile-smoke adversary-smoke border-matrix-smoke replay-smoke results-smoke sweep-smoke serve-smoke obs-smoke fuzz-smoke bench-check
+check: fmt vet build test race race-sim fleet-smoke trace-smoke profile-smoke adversary-smoke border-matrix-smoke replay-smoke results-smoke sweep-smoke serve-smoke obs-smoke fuzz-smoke bench-check

@@ -147,10 +147,14 @@ func (p *BorderPort) WriteBlock(at sim.Time, asid arch.ASID, addr arch.Phys, dat
 		}
 		checkDone = dec.Done
 	}
-	if err := p.dir.Writeback(p.agent, addr, data[:], false); err != nil {
-		// The directory did not consider us owner (e.g. a trusted recall
-		// already collected the block); apply the data directly — the
-		// check above already authorized it.
+	if p.Owned(addr) {
+		// A PutM: the directory applies the data and drops our ownership.
+		// It refuses only non-owners.
+		_ = p.dir.Writeback(p.agent, addr, data[:], false)
+	} else {
+		// The directory does not consider us owner (an uncached IOMMU
+		// store, or a block a trusted recall already collected); apply
+		// the data directly — the check above already authorized it.
 		p.dram.Store().Write(addr, data[:])
 	}
 	// The write buffers at the memory controller on arrival and drains

@@ -15,6 +15,7 @@ package ats
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"bordercontrol/internal/arch"
 	"bordercontrol/internal/memory"
@@ -85,7 +86,7 @@ type ATS struct {
 	dram      *memory.DRAM
 	l2tlb     *tlb.TLB
 	observers []Observer
-	active    map[string]map[arch.ASID]bool // accelerator -> active ASIDs
+	active    []activeSet // per accelerator, in first-activation order
 	pr        *prof.Profiler
 
 	Walks       stats.Counter
@@ -99,6 +100,13 @@ type ATS struct {
 	TranslateLatency stats.Histogram
 }
 
+// activeSet lists the ASIDs active on one accelerator. A system has a
+// handful of accelerators and processes, so a scan beats hashing the name.
+type activeSet struct {
+	accel string
+	asids []arch.ASID
+}
+
 // New returns an ATS over the given page-table source and DRAM (whose
 // bandwidth page walks consume).
 func New(cfg Config, tables TableSource, dram *memory.DRAM) (*ATS, error) {
@@ -106,13 +114,7 @@ func New(cfg Config, tables TableSource, dram *memory.DRAM) (*ATS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ats: %w", err)
 	}
-	return &ATS{
-		cfg:    cfg,
-		tables: tables,
-		dram:   dram,
-		l2tlb:  l2,
-		active: make(map[string]map[arch.ASID]bool),
-	}, nil
+	return &ATS{cfg: cfg, tables: tables, dram: dram, l2tlb: l2}, nil
 }
 
 // AddObserver registers a translation observer.
@@ -124,26 +126,41 @@ func (a *ATS) L2TLB() *tlb.TLB { return a.l2tlb }
 // Activate records that the process runs on the named accelerator, making
 // its ASID valid in translation requests from that accelerator.
 func (a *ATS) Activate(accel string, asid arch.ASID) {
-	set, ok := a.active[accel]
-	if !ok {
-		set = make(map[arch.ASID]bool)
-		a.active[accel] = set
+	set := a.activeSet(accel)
+	if set == nil {
+		a.active = append(a.active, activeSet{accel: accel})
+		set = &a.active[len(a.active)-1]
 	}
-	set[asid] = true
+	if !slices.Contains(set.asids, asid) {
+		set.asids = append(set.asids, asid)
+	}
 }
 
 // Deactivate removes the process from the accelerator and drops its
 // translations from the trusted TLB.
 func (a *ATS) Deactivate(accel string, asid arch.ASID) {
-	if set, ok := a.active[accel]; ok {
-		delete(set, asid)
+	if set := a.activeSet(accel); set != nil {
+		if i := slices.Index(set.asids, asid); i >= 0 {
+			set.asids = slices.Delete(set.asids, i, i+1)
+		}
 	}
 	a.l2tlb.InvalidateASID(asid)
 }
 
 // ActiveOn reports whether asid is active on the named accelerator.
 func (a *ATS) ActiveOn(accel string, asid arch.ASID) bool {
-	return a.active[accel][asid]
+	set := a.activeSet(accel)
+	return set != nil && slices.Contains(set.asids, asid)
+}
+
+// activeSet returns the named accelerator's entry, or nil.
+func (a *ATS) activeSet(accel string) *activeSet {
+	for i := range a.active {
+		if a.active[i].accel == accel {
+			return &a.active[i]
+		}
+	}
+	return nil
 }
 
 // Result is a completed translation.

@@ -14,13 +14,20 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bordercontrol/internal/arch"
+	"bordercontrol/internal/dense"
+	"bordercontrol/internal/memory"
 	"bordercontrol/internal/stats"
 )
 
 // AgentID identifies a coherence participant.
 type AgentID int
+
+// MaxAgents is how many agents one directory tracks: a block's sharers are
+// a bitmask of agent IDs.
+const MaxAgents = 64
 
 // State is a MOESI cache-coherence state as tracked by the directory for
 // one agent.
@@ -66,23 +73,24 @@ type Agent interface {
 	Recall(addr arch.Phys) (data []byte, dirty bool)
 }
 
+// blockState is the directory entry of one block. The zero value is a block
+// no agent holds.
 type blockState struct {
-	owner   AgentID // agent in E/M/O, or -1
-	sharers map[AgentID]bool
+	sharers uint64 // bit i set: agent i holds a shared copy
+	owner   uint8  // 1 + the ID of the agent in E/M/O; 0 when none
 }
 
-// MemoryWriter applies recalled dirty data to the backing store.
-type MemoryWriter interface {
-	Write(a arch.Phys, data []byte)
-	Read(a arch.Phys, n uint64) []byte
-}
+// ownerID returns the owning agent, or -1.
+func (b *blockState) ownerID() AgentID { return AgentID(b.owner) - 1 }
+
+func (b *blockState) setOwner(id AgentID) { b.owner = uint8(id + 1) }
 
 // Directory is a full-map directory over 128-byte blocks. It is functional
 // (state only); timing is charged by the border port that invokes it.
 type Directory struct {
 	agents []Agent
-	blocks map[arch.Phys]*blockState
-	mem    MemoryWriter
+	blocks dense.Table[blockState] // by block number
+	mem    *memory.Store
 
 	GetS      stats.Counter
 	GetM      stats.Counter
@@ -91,12 +99,16 @@ type Directory struct {
 }
 
 // NewDirectory returns an empty directory writing recalled data to mem.
-func NewDirectory(mem MemoryWriter) *Directory {
-	return &Directory{blocks: make(map[arch.Phys]*blockState), mem: mem}
+func NewDirectory(mem *memory.Store) *Directory {
+	return &Directory{mem: mem}
 }
 
-// AddAgent registers an agent and returns its ID.
+// AddAgent registers an agent and returns its ID. It panics past
+// MaxAgents agents.
 func (d *Directory) AddAgent(a Agent) AgentID {
+	if len(d.agents) == MaxAgents {
+		panic(fmt.Sprintf("coherence: directory is full (%d agents)", MaxAgents))
+	}
 	d.agents = append(d.agents, a)
 	return AgentID(len(d.agents) - 1)
 }
@@ -104,10 +116,7 @@ func (d *Directory) AddAgent(a Agent) AgentID {
 // ReserveAgent allocates an agent ID to be bound later with BindAgent.
 // Construction-order helper: a cache hierarchy needs its border port (which
 // needs the agent ID) before the hierarchy itself exists.
-func (d *Directory) ReserveAgent() AgentID {
-	d.agents = append(d.agents, nil)
-	return AgentID(len(d.agents) - 1)
-}
+func (d *Directory) ReserveAgent() AgentID { return d.AddAgent(nil) }
 
 // BindAgent attaches the agent for a reserved ID.
 func (d *Directory) BindAgent(id AgentID, a Agent) {
@@ -117,13 +126,15 @@ func (d *Directory) BindAgent(id AgentID, a Agent) {
 	d.agents[id] = a
 }
 
+// block returns the entry of the block at addr, creating it on first touch.
 func (d *Directory) block(addr arch.Phys) *blockState {
-	b, ok := d.blocks[addr]
-	if !ok {
-		b = &blockState{owner: -1, sharers: make(map[AgentID]bool)}
-		d.blocks[addr] = b
-	}
-	return b
+	return d.blocks.At(uint64(addr >> arch.BlockShift))
+}
+
+// peek returns the entry of the block at addr, or nil when it was never
+// touched (no agent holds it).
+func (d *Directory) peek(addr arch.Phys) *blockState {
+	return d.blocks.Ptr(uint64(addr >> arch.BlockShift))
 }
 
 // RequestShared handles a GetS: agent id wants a readable copy of the block
@@ -140,15 +151,15 @@ func (d *Directory) RequestShared(id AgentID, addr arch.Phys) State {
 	addr = addr.BlockOf()
 	d.GetS.Inc()
 	b := d.block(addr)
-	if b.owner >= 0 && b.owner != id {
-		d.recall(b.owner, addr)
-		b.sharers[b.owner] = true
-		b.owner = -1
+	if owner := b.ownerID(); owner >= 0 && owner != id {
+		d.recall(owner, addr)
+		b.sharers |= 1 << owner
+		b.owner = 0
 	}
-	b.sharers[id] = true
-	if len(b.sharers) == 1 && d.agents[id].Trusted() {
-		b.owner = id
-		delete(b.sharers, id)
+	b.sharers |= 1 << id
+	if b.sharers == 1<<id && d.agents[id].Trusted() {
+		b.setOwner(id)
+		b.sharers = 0
 		return Exclusive
 	}
 	return Shared
@@ -162,17 +173,16 @@ func (d *Directory) RequestModified(id AgentID, addr arch.Phys) State {
 	addr = addr.BlockOf()
 	d.GetM.Inc()
 	b := d.block(addr)
-	if b.owner >= 0 && b.owner != id {
-		d.recall(b.owner, addr)
-		b.owner = -1
+	if owner := b.ownerID(); owner >= 0 && owner != id {
+		d.recall(owner, addr)
+		b.owner = 0
 	}
-	for s := range b.sharers {
-		if s != id {
-			d.recall(s, addr)
-		}
-		delete(b.sharers, s)
+	// Other sharers are recalled in ascending agent order.
+	for others := b.sharers &^ (1 << id); others != 0; others &= others - 1 {
+		d.recall(AgentID(bits.TrailingZeros64(others)), addr)
 	}
-	b.owner = id
+	b.sharers = 0
+	b.setOwner(id)
 	return Modified
 }
 
@@ -180,27 +190,29 @@ func (d *Directory) RequestModified(id AgentID, addr arch.Phys) State {
 // drops to Invalid (or stays as a clean sharer when keepShared is set).
 func (d *Directory) Writeback(id AgentID, addr arch.Phys, data []byte, keepShared bool) error {
 	addr = addr.BlockOf()
-	b := d.block(addr)
-	if b.owner != id {
+	b := d.peek(addr)
+	if b == nil || b.ownerID() != id {
 		return fmt.Errorf("coherence: writeback of %#x by non-owner %s (owner=%d)",
-			addr, d.agents[id].Name(), b.owner)
+			addr, d.agents[id].Name(), d.OwnerOf(addr))
 	}
 	d.mem.Write(addr, data)
-	b.owner = -1
+	b.owner = 0
 	if keepShared {
-		b.sharers[id] = true
+		b.sharers |= 1 << id
 	}
 	return nil
 }
 
 // Evict notes that agent id silently dropped a clean block.
 func (d *Directory) Evict(id AgentID, addr arch.Phys) {
-	addr = addr.BlockOf()
-	b := d.block(addr)
-	if b.owner == id {
-		b.owner = -1
+	b := d.peek(addr.BlockOf())
+	if b == nil {
+		return
 	}
-	delete(b.sharers, id)
+	if b.ownerID() == id {
+		b.owner = 0
+	}
+	b.sharers &^= 1 << id
 }
 
 // recall invalidates an agent's copy, writing dirty data back to memory.
@@ -215,16 +227,16 @@ func (d *Directory) recall(id AgentID, addr arch.Phys) {
 
 // OwnerOf returns the owning agent of the block, or -1.
 func (d *Directory) OwnerOf(addr arch.Phys) AgentID {
-	if b, ok := d.blocks[addr.BlockOf()]; ok {
-		return b.owner
+	if b := d.peek(addr); b != nil {
+		return b.ownerID()
 	}
 	return -1
 }
 
 // SharersOf returns how many agents share the block.
 func (d *Directory) SharersOf(addr arch.Phys) int {
-	if b, ok := d.blocks[addr.BlockOf()]; ok {
-		return len(b.sharers)
+	if b := d.peek(addr); b != nil {
+		return bits.OnesCount64(b.sharers)
 	}
 	return 0
 }
@@ -234,11 +246,11 @@ func (d *Directory) SharersOf(addr arch.Phys) int {
 // request (which Border Control checked). The canWrite callback reports
 // whether the border would permit the owner to write the block now.
 func (d *Directory) CheckInvariant(addr arch.Phys, canWrite func(agent Agent, addr arch.Phys) bool) error {
-	b, ok := d.blocks[addr.BlockOf()]
-	if !ok || b.owner < 0 {
+	b := d.peek(addr)
+	if b == nil || b.owner == 0 {
 		return nil
 	}
-	owner := d.agents[b.owner]
+	owner := d.agents[b.ownerID()]
 	if !owner.Trusted() && !canWrite(owner, addr.BlockOf()) {
 		return fmt.Errorf("coherence: untrusted agent %q owns block %#x without write permission",
 			owner.Name(), addr.BlockOf())

@@ -2,7 +2,9 @@ package coherence
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bordercontrol/internal/arch"
@@ -262,4 +264,57 @@ func TestRandomProtocolInvariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGetMRecallsSharersInAgentOrder: a GetM recalls the other sharers in
+// ascending agent order, whatever order they joined in.
+func TestGetMRecallsSharersInAgentOrder(t *testing.T) {
+	dir, _ := setup(t)
+	var order []string
+	var ids []AgentID
+	for i := 0; i < 5; i++ {
+		a := &orderAgent{fakeAgent: newFakeAgent(fmt.Sprintf("gpu%d", i), false), log: &order}
+		ids = append(ids, dir.AddAgent(a))
+	}
+	for _, i := range []int{3, 0, 4, 1} {
+		dir.RequestShared(ids[i], 0)
+	}
+	dir.RequestModified(ids[2], 0)
+	if got := strings.Join(order, ","); got != "gpu0,gpu1,gpu3,gpu4" {
+		t.Errorf("recall order %s, want gpu0,gpu1,gpu3,gpu4", got)
+	}
+	if dir.SharersOf(0) != 0 || dir.OwnerOf(0) != ids[2] {
+		t.Errorf("after GetM: %d sharers, owner %d", dir.SharersOf(0), dir.OwnerOf(0))
+	}
+}
+
+type orderAgent struct {
+	*fakeAgent
+	log *[]string
+}
+
+func (a *orderAgent) Recall(addr arch.Phys) ([]byte, bool) {
+	*a.log = append(*a.log, a.name)
+	return a.fakeAgent.Recall(addr)
+}
+
+// TestAgentLimit: sharers are a 64-bit mask, so the 65th agent is refused
+// loudly rather than aliasing another agent's bit.
+func TestAgentLimit(t *testing.T) {
+	dir, _ := setup(t)
+	for i := 0; i < MaxAgents; i++ {
+		if id := dir.AddAgent(newFakeAgent("a", false)); id != AgentID(i) {
+			t.Fatalf("agent %d got ID %d", i, id)
+		}
+	}
+	dir.RequestShared(MaxAgents-1, 0)
+	if dir.SharersOf(0) != 1 {
+		t.Fatal("the last agent's share was lost")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("registering agent 65 did not panic")
+		}
+	}()
+	dir.ReserveAgent()
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -227,14 +226,13 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 			}
 		}
 
-		// Snapshot writable pages sorted, as injectDowngradesEvery does,
-		// so churn targeting is identical on every run.
+		// Snapshot writable pages in address order, as the downgrade
+		// injector does, so churn targeting is identical on every run.
 		proc.ForEachMapped(func(vpn arch.VPN, _ arch.PPN, perm arch.Perm) {
 			if perm.CanWrite() {
 				te.pages = append(te.pages, vpn.Base())
 			}
 		})
-		sort.Slice(te.pages, func(a, b int) bool { return te.pages[a] < te.pages[b] })
 
 		// Launch doorbell: host -> tenant at a seeded arrival time; the
 		// callback runs on the tenant shard.

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"bordercontrol/internal/accel"
@@ -338,16 +337,15 @@ func newDowngradeInjector(sys *System, proc *hostos.Process, interval sim.Time, 
 	if interval == 0 {
 		interval = 1
 	}
-	// Snapshot the writable pages (generation already faulted them in).
-	// ForEachMapped iterates a map in random order; sort so the injection
-	// round-robin — and therefore Figure 7 — is identical on every run.
+	// Snapshot the writable pages (generation already faulted them in), in
+	// address order, so the injection round-robin — and therefore
+	// Figure 7 — is identical on every run.
 	var pages []arch.Virt
 	proc.ForEachMapped(func(vpn arch.VPN, _ arch.PPN, perm arch.Perm) {
 		if perm.CanWrite() {
 			pages = append(pages, vpn.Base())
 		}
 	})
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	return &downgradeInjector{sys: sys, proc: proc, pages: pages, interval: interval, max: max}
 }
 

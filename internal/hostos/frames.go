@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"bordercontrol/internal/arch"
+	"bordercontrol/internal/dense"
 	"bordercontrol/internal/memory"
 )
 
@@ -28,7 +29,8 @@ type FrameAllocator struct {
 	bump      arch.PPN // next never-allocated frame
 	limit     arch.PPN // one past the last frame
 	freeList  []arch.PPN
-	allocated map[arch.PPN]bool
+	allocated dense.Table[bool] // by PPN
+	inUse     int
 }
 
 // NewFrameAllocator returns an allocator over the whole store.
@@ -46,29 +48,29 @@ func NewFrameAllocatorRange(store *memory.Store, lo, hi arch.PPN) *FrameAllocato
 	if hi > arch.PPN(store.Pages()) {
 		hi = arch.PPN(store.Pages())
 	}
-	return &FrameAllocator{
-		store:     store,
-		bump:      lo,
-		limit:     hi,
-		allocated: make(map[arch.PPN]bool),
-	}
+	return &FrameAllocator{store: store, bump: lo, limit: hi}
 }
 
-// Range returns the allocator's frame bounds [lo, hi). lo reflects the
-// original partition start only until frames are handed out; use Owns for
-// membership checks.
+// Limit returns one past the last frame the allocator may hand out. Use
+// Owns for membership checks.
 func (f *FrameAllocator) Limit() arch.PPN { return f.limit }
 
 // Owns reports whether the allocator handed out frame p (it is currently
 // allocated from this partition).
-func (f *FrameAllocator) Owns(p arch.PPN) bool { return f.allocated[p] }
+func (f *FrameAllocator) Owns(p arch.PPN) bool { return f.allocated.Get(uint64(p)) }
+
+// take marks frame p allocated.
+func (f *FrameAllocator) take(p arch.PPN) {
+	*f.allocated.At(uint64(p)) = true
+	f.inUse++
+}
 
 // AllocFrame returns a free physical frame.
 func (f *FrameAllocator) AllocFrame() (arch.PPN, error) {
 	if n := len(f.freeList); n > 0 {
 		p := f.freeList[n-1]
 		f.freeList = f.freeList[:n-1]
-		f.allocated[p] = true
+		f.take(p)
 		return p, nil
 	}
 	if f.bump >= f.limit {
@@ -76,7 +78,7 @@ func (f *FrameAllocator) AllocFrame() (arch.PPN, error) {
 	}
 	p := f.bump
 	f.bump++
-	f.allocated[p] = true
+	f.take(p)
 	return p, nil
 }
 
@@ -101,12 +103,12 @@ func (f *FrameAllocator) AllocContiguousAligned(n, align uint64) (arch.PPN, erro
 	}
 	// Frames skipped by alignment go to the free list rather than leaking.
 	for p := f.bump; p < start; p++ {
-		f.allocated[p] = true
+		f.take(p)
 		f.FreeFrame(p)
 	}
 	f.bump = start + arch.PPN(n)
 	for p := start; p < start+arch.PPN(n); p++ {
-		f.allocated[p] = true
+		f.take(p)
 	}
 	return start, nil
 }
@@ -114,10 +116,12 @@ func (f *FrameAllocator) AllocContiguousAligned(n, align uint64) (arch.PPN, erro
 // FreeFrame returns a frame to the free list. Double frees panic: they are
 // OS bugs, and the OS is trusted.
 func (f *FrameAllocator) FreeFrame(p arch.PPN) {
-	if !f.allocated[p] {
+	a := f.allocated.Ptr(uint64(p))
+	if a == nil || !*a {
 		panic(fmt.Sprintf("hostos: double free of frame %#x", p))
 	}
-	delete(f.allocated, p)
+	*a = false
+	f.inUse--
 	f.freeList = append(f.freeList, p)
 }
 
@@ -129,7 +133,7 @@ func (f *FrameAllocator) FreeContiguous(start arch.PPN, n uint64) {
 }
 
 // InUse returns how many frames are currently allocated.
-func (f *FrameAllocator) InUse() int { return len(f.allocated) }
+func (f *FrameAllocator) InUse() int { return f.inUse }
 
 // FreeFrames returns how many frames remain allocatable.
 func (f *FrameAllocator) FreeFrames() uint64 {

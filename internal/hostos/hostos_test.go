@@ -270,6 +270,47 @@ func TestRemapPreservesContents(t *testing.T) {
 	}
 }
 
+// TestRemapRefusesSharedCOWPage: a copy-on-write page another process
+// still maps cannot move. Freeing the shared frame while dst maps it would
+// let the next process's page-table node land in that frame, and dst
+// would read (and could write) page-table bytes.
+func TestRemapRefusesSharedCOWPage(t *testing.T) {
+	o := newOS(t)
+	src, _ := o.NewProcess("src")
+	dst, _ := o.NewProcess("dst")
+	base, _ := src.Mmap(arch.PageSize, arch.PermRW)
+	if err := src.Write(base, []byte("shared")); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.ShareCOW(src, dst, base, arch.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	shared, _ := dst.PPNOf(base.PageOf())
+	if _, err := o.Remap(src, base.PageOf()); err == nil {
+		t.Error("remap of a shared copy-on-write page succeeded")
+	}
+	if !o.Frames().Owns(shared) {
+		t.Error("the shared frame was freed while dst still maps it")
+	}
+	if _, err := o.NewProcess("next"); err != nil {
+		t.Fatal(err)
+	}
+	var buf [6]byte
+	if err := dst.Read(base, buf[:]); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:]) != "shared" {
+		t.Errorf("dst reads %q, want the shared page", buf[:])
+	}
+	// Once dst writes, it has a private copy and src's page may move.
+	if err := dst.Write(base, []byte("mine")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Remap(src, base.PageOf()); err != nil {
+		t.Errorf("remap of an unshared page: %v", err)
+	}
+}
+
 func TestCopyOnWrite(t *testing.T) {
 	o := newOS(t)
 	src, _ := o.NewProcess("src")

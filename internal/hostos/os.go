@@ -2,9 +2,9 @@ package hostos
 
 import (
 	"fmt"
-	"sort"
 
 	"bordercontrol/internal/arch"
+	"bordercontrol/internal/dense"
 	"bordercontrol/internal/memory"
 	"bordercontrol/internal/pagetable"
 )
@@ -67,8 +67,8 @@ type OS struct {
 	// epoch N is the window between the page's Nth and N+1th permission
 	// losses. The safety oracle scopes "the most permissive window ever
 	// granted" to the current epoch — a grant from before a revocation must
-	// never justify a crossing after it.
-	pageEpochs map[arch.PPN]uint64
+	// never justify a crossing after it. Indexed by PPN.
+	pageEpochs dense.Table[uint64]
 	// completionEpochs counts, per ASID, completed accelerator sessions.
 	completionEpochs map[arch.ASID]uint64
 
@@ -112,7 +112,6 @@ func assembleOS(store *memory.Store, frames *FrameAllocator, asidBase arch.ASID)
 		frames:           frames,
 		nextASID:         asidBase,
 		processes:        make(map[arch.ASID]*Process),
-		pageEpochs:       make(map[arch.PPN]uint64),
 		completionEpochs: make(map[arch.ASID]uint64),
 	}
 }
@@ -147,7 +146,7 @@ func (o *OS) NoteCompletion(asid arch.ASID) {
 
 // PageEpoch returns how many permission downgrades have been broadcast for
 // the physical page — the index of its current grant epoch.
-func (o *OS) PageEpoch(ppn arch.PPN) uint64 { return o.pageEpochs[ppn] }
+func (o *OS) PageEpoch(ppn arch.PPN) uint64 { return o.pageEpochs.Get(uint64(ppn)) }
 
 // CompletionEpoch returns how many accelerator sessions the ASID has
 // completed.
@@ -157,13 +156,7 @@ func (o *OS) CompletionEpoch(asid arch.ASID) uint64 { return o.completionEpochs[
 func (o *OS) NewProcess(name string) (*Process, error) {
 	asid := o.nextASID
 	o.nextASID++
-	p := &Process{
-		os:    o,
-		name:  name,
-		asid:  asid,
-		brk:   mmapBase,
-		pages: make(map[arch.VPN]*pageInfo),
-	}
+	p := &Process{os: o, name: name, asid: asid, brk: mmapBase}
 	table, err := pagetable.New(o.store, o.frames)
 	if err != nil {
 		return nil, err
@@ -216,39 +209,26 @@ func (o *OS) Exit(p *Process) {
 	if p.dead {
 		return
 	}
-	// Iterate pages in address order, not map order: exit broadcasts reach
-	// shootdown listeners (border flushes) and the freed frames re-enter
-	// the allocator's free list, so a deterministic order here keeps
-	// multi-process churn runs bit-exact.
-	vpns := make([]arch.VPN, 0, len(p.pages))
-	for vpn := range p.pages {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
-		info := p.pages[vpn]
-		o.broadcast(Downgrade{ASID: p.asid, VPN: vpn, PPN: info.ppn, Old: info.perm, New: arch.PermNone})
-	}
-	for _, vpn := range vpns {
-		info, ok := p.pages[vpn]
-		if !ok {
-			continue
+	// Pages go in ascending VPN order: exit broadcasts reach shootdown
+	// listeners (border flushes) and the freed frames re-enter the
+	// allocator's free list, so the order keeps multi-process churn runs
+	// bit-exact. A huge page's base frames are freed one by one.
+	p.ForEachMapped(func(vpn arch.VPN, ppn arch.PPN, perm arch.Perm) {
+		o.broadcast(Downgrade{ASID: p.asid, VPN: vpn, PPN: ppn, Old: perm, New: arch.PermNone})
+	})
+	p.pages.Range(func(_ uint64, info *pageInfo) {
+		if !info.mapped {
+			return
 		}
 		if info.refs != nil {
 			*info.refs--
 			if *info.refs > 0 {
-				delete(p.pages, vpn)
-				continue
+				return
 			}
 		}
-		if info.huge {
-			// Huge frames were allocated contiguously; free each base frame.
-			o.frames.FreeFrame(info.ppn)
-		} else {
-			o.frames.FreeFrame(info.ppn)
-		}
-		delete(p.pages, vpn)
-	}
+		o.frames.FreeFrame(info.ppn)
+	})
+	p.pages = dense.Table[pageInfo]{}
 	p.table.Release()
 	p.dead = true
 	delete(o.processes, p.asid)
@@ -282,8 +262,8 @@ func (o *OS) Protect(p *Process, addr arch.Virt, size uint64, perm arch.Perm) ([
 	}
 	var downs []Downgrade
 	for vpn := first; vpn <= last; vpn++ {
-		info, ok := p.pages[vpn]
-		if !ok {
+		info := p.mapping(vpn)
+		if info == nil {
 			continue
 		}
 		old := info.perm
@@ -315,8 +295,8 @@ func (o *OS) Unmap(p *Process, addr arch.Virt, size uint64) error {
 	last := (addr + arch.Virt(size) - 1).PageOf()
 	p.removeVMARange(first.Base(), last.Base()+arch.PageSize)
 	for vpn := first; vpn <= last; vpn++ {
-		info, ok := p.pages[vpn]
-		if !ok {
+		info := p.mapping(vpn)
+		if info == nil {
 			continue
 		}
 		if info.huge {
@@ -334,21 +314,27 @@ func (o *OS) Unmap(p *Process, addr arch.Virt, size uint64) error {
 		} else {
 			o.frames.FreeFrame(info.ppn)
 		}
-		delete(p.pages, vpn)
+		*info = pageInfo{}
 	}
 	return nil
 }
 
 // Remap moves the backing frame of vpn to a fresh frame (as swapping or
 // memory compaction would), copying contents, and broadcasts the downgrade
-// of the old mapping. Returns the new frame.
+// of the old mapping. Returns the new frame. A copy-on-write page still
+// shared with another process cannot move: the model has no reverse map to
+// repoint the other mappings, and freeing the frame under them would hand
+// it out again while they still map it.
 func (o *OS) Remap(p *Process, vpn arch.VPN) (arch.PPN, error) {
-	info, ok := p.pages[vpn]
-	if !ok {
+	info := p.mapping(vpn)
+	if info == nil {
 		return 0, fmt.Errorf("hostos: remap of unmapped page %#x", vpn.Base())
 	}
 	if info.huge {
 		return 0, fmt.Errorf("hostos: remap of huge page %#x", vpn.Base())
+	}
+	if info.refs != nil && *info.refs > 1 {
+		return 0, fmt.Errorf("hostos: remap of shared copy-on-write page %#x", vpn.Base())
 	}
 	fresh, err := o.frames.AllocFrame()
 	if err != nil {
@@ -379,8 +365,8 @@ func (o *OS) ShareCOW(src, dst *Process, addr arch.Virt, size uint64) error {
 		dst.brk = last.Base() + 2*arch.PageSize
 	}
 	for vpn := first; vpn <= last; vpn++ {
-		sinfo, ok := src.pages[vpn]
-		if !ok {
+		sinfo := src.mapping(vpn)
+		if sinfo == nil {
 			// Fault it in so there is something to share.
 			var err error
 			a := src.vmaFor(vpn.Base())
@@ -410,11 +396,10 @@ func (o *OS) ShareCOW(src, dst *Process, addr arch.Virt, size uint64) error {
 		}
 		sinfo.cow = true
 		*sinfo.refs++
-		dinfo := &pageInfo{ppn: sinfo.ppn, perm: ro, cow: true, refs: sinfo.refs}
 		if err := dst.table.Map(vpn, sinfo.ppn, ro); err != nil {
 			return err
 		}
-		dst.pages[vpn] = dinfo
+		*dst.pages.At(uint64(vpn)) = pageInfo{ppn: sinfo.ppn, perm: ro, mapped: true, cow: true, refs: sinfo.refs}
 	}
 	return nil
 }
@@ -463,7 +448,7 @@ func (o *OS) ReportViolation(v Violation, culprit arch.ASID) {
 
 func (o *OS) broadcast(d Downgrade) {
 	o.Shootdowns++
-	o.pageEpochs[d.PPN]++
+	*o.pageEpochs.At(uint64(d.PPN))++
 	for _, l := range o.listeners {
 		l.OnDowngrade(d)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"bordercontrol/internal/arch"
+	"bordercontrol/internal/dense"
 	"bordercontrol/internal/pagetable"
 )
 
@@ -31,13 +32,15 @@ func (a *vma) contains(v arch.Virt) bool {
 	return v >= a.start && uint64(v-a.start) < a.size
 }
 
-// pageInfo tracks OS-side state of a mapped virtual page.
+// pageInfo tracks OS-side state of a virtual page. The zero value is an
+// unmapped page.
 type pageInfo struct {
-	ppn  arch.PPN
-	perm arch.Perm
-	cow  bool // write-protected copy-on-write page
-	huge bool // member of a huge mapping (head tracked separately)
-	refs *int // shared frame refcount, for CoW
+	ppn    arch.PPN
+	perm   arch.Perm
+	mapped bool
+	cow    bool // write-protected copy-on-write page
+	huge   bool // member of a huge mapping (head tracked separately)
+	refs   *int // shared frame refcount, for CoW
 }
 
 // Process is one address space plus OS bookkeeping.
@@ -48,7 +51,7 @@ type Process struct {
 	table *pagetable.Table
 	vmas  []vma
 	brk   arch.Virt
-	pages map[arch.VPN]*pageInfo
+	pages dense.Table[pageInfo] // by VPN
 	dead  bool
 
 	// MajorFaults counts demand-paging faults served.
@@ -156,11 +159,19 @@ func (p *Process) Translate(v arch.Virt, kind arch.AccessKind) (arch.Phys, error
 	return info.ppn.Base() + arch.Phys(v.Offset()), nil
 }
 
+// mapping returns the state of vpn, or nil when vpn is not mapped.
+func (p *Process) mapping(vpn arch.VPN) *pageInfo {
+	if info := p.pages.Ptr(uint64(vpn)); info != nil && info.mapped {
+		return info
+	}
+	return nil
+}
+
 // page returns (faulting in if needed) the pageInfo for v, handling CoW.
 func (p *Process) page(v arch.Virt, kind arch.AccessKind) (*pageInfo, error) {
 	vpn := v.PageOf()
-	info, ok := p.pages[vpn]
-	if !ok {
+	info := p.mapping(vpn)
+	if info == nil {
 		a := p.vmaFor(v)
 		if a == nil {
 			return nil, &Segfault{ASID: p.asid, Addr: v, Kind: kind}
@@ -203,8 +214,8 @@ func (p *Process) faultIn(vpn arch.VPN, a *vma) (*pageInfo, error) {
 	if err := p.table.Map(vpn, frame, a.perm); err != nil {
 		return nil, err
 	}
-	info := &pageInfo{ppn: frame, perm: a.perm}
-	p.pages[vpn] = info
+	info := p.pages.At(uint64(vpn))
+	*info = pageInfo{ppn: frame, perm: a.perm, mapped: true}
 	return info, nil
 }
 
@@ -221,45 +232,53 @@ func (p *Process) faultInHuge(vpn arch.VPN, a *vma) (*pageInfo, error) {
 		return nil, err
 	}
 	for i := arch.VPN(0); i < arch.PagesPerHugePage; i++ {
-		p.pages[headVPN+i] = &pageInfo{ppn: frame + arch.PPN(i), perm: a.perm, huge: true}
+		*p.pages.At(uint64(headVPN + i)) = pageInfo{ppn: frame + arch.PPN(i), perm: a.perm, mapped: true, huge: true}
 	}
-	return p.pages[vpn], nil
+	return p.mapping(vpn), nil
 }
 
 // Read copies memory out of the process address space, faulting pages in.
 func (p *Process) Read(v arch.Virt, buf []byte) error {
-	return p.access(v, uint64(len(buf)), arch.Read, func(pa arch.Phys, b []byte) {
-		p.os.store.ReadInto(pa, b)
-	}, buf)
+	for {
+		pa, n, err := p.chunk(v, len(buf), arch.Read)
+		if err != nil || n == 0 {
+			return err
+		}
+		p.os.store.ReadInto(pa, buf[:n])
+		buf = buf[n:]
+		v += arch.Virt(n)
+	}
 }
 
 // Write copies data into the process address space, faulting pages in and
 // resolving copy-on-write.
 func (p *Process) Write(v arch.Virt, data []byte) error {
-	return p.access(v, uint64(len(data)), arch.Write, func(pa arch.Phys, b []byte) {
-		p.os.store.Write(pa, b)
-	}, data)
-}
-
-func (p *Process) access(v arch.Virt, n uint64, kind arch.AccessKind, op func(arch.Phys, []byte), buf []byte) error {
-	if p.dead {
-		return fmt.Errorf("hostos: access in dead process %q", p.name)
-	}
-	for n > 0 {
-		pa, err := p.Translate(v, kind)
-		if err != nil {
+	for {
+		pa, n, err := p.chunk(v, len(data), arch.Write)
+		if err != nil || n == 0 {
 			return err
 		}
-		chunk := uint64(arch.PageSize) - v.Offset()
-		if chunk > n {
-			chunk = n
-		}
-		op(pa, buf[:chunk])
-		buf = buf[chunk:]
-		v += arch.Virt(chunk)
-		n -= chunk
+		p.os.store.Write(pa, data[:n])
+		data = data[n:]
+		v += arch.Virt(n)
 	}
-	return nil
+}
+
+// chunk translates the next piece of an n-byte access at v: the physical
+// address of v and how many of the n bytes lie on v's page. It returns 0
+// bytes once n is 0.
+func (p *Process) chunk(v arch.Virt, n int, kind arch.AccessKind) (arch.Phys, int, error) {
+	if p.dead {
+		return 0, 0, fmt.Errorf("hostos: access in dead process %q", p.name)
+	}
+	if n == 0 {
+		return 0, 0, nil
+	}
+	pa, err := p.Translate(v, kind)
+	if err != nil {
+		return 0, 0, err
+	}
+	return pa, min(n, arch.PageSize-int(v.Offset())), nil
 }
 
 // ReadU32 reads a 32-bit word from process memory.
@@ -278,32 +297,31 @@ func (p *Process) WriteU32(v arch.Virt, x uint32) error {
 }
 
 // Mapped reports whether vpn is currently mapped (already faulted in).
-func (p *Process) Mapped(vpn arch.VPN) bool {
-	_, ok := p.pages[vpn]
-	return ok
-}
+func (p *Process) Mapped(vpn arch.VPN) bool { return p.mapping(vpn) != nil }
 
 // PermOf returns the current page permissions of vpn, if mapped.
 func (p *Process) PermOf(vpn arch.VPN) (arch.Perm, bool) {
-	info, ok := p.pages[vpn]
-	if !ok {
+	info := p.mapping(vpn)
+	if info == nil {
 		return 0, false
 	}
 	return info.perm, true
 }
 
-// ForEachMapped calls fn for every currently-mapped page, in unspecified
+// ForEachMapped calls fn for every currently-mapped page, in ascending VPN
 // order.
 func (p *Process) ForEachMapped(fn func(vpn arch.VPN, ppn arch.PPN, perm arch.Perm)) {
-	for vpn, info := range p.pages {
-		fn(vpn, info.ppn, info.perm)
-	}
+	p.pages.Range(func(vpn uint64, info *pageInfo) {
+		if info.mapped {
+			fn(arch.VPN(vpn), info.ppn, info.perm)
+		}
+	})
 }
 
 // PPNOf returns the physical page backing vpn, if mapped.
 func (p *Process) PPNOf(vpn arch.VPN) (arch.PPN, bool) {
-	info, ok := p.pages[vpn]
-	if !ok {
+	info := p.mapping(vpn)
+	if info == nil {
 		return 0, false
 	}
 	return info.ppn, true
@@ -317,7 +335,7 @@ func (p *Process) FaultPage(vpn arch.VPN) error {
 	if p.dead {
 		return fmt.Errorf("hostos: fault in dead process %q", p.name)
 	}
-	if _, ok := p.pages[vpn]; ok {
+	if p.mapping(vpn) != nil {
 		return nil
 	}
 	a := p.vmaFor(vpn.Base())
@@ -332,8 +350,8 @@ func (p *Process) FaultPage(vpn arch.VPN) error {
 // bypassing permission checks (the trace recorder snapshots write-protected
 // pages too).
 func (p *Process) PageBytes(vpn arch.VPN) ([]byte, error) {
-	info, ok := p.pages[vpn]
-	if !ok {
+	info := p.mapping(vpn)
+	if info == nil {
 		return nil, fmt.Errorf("hostos: page bytes of unmapped page %#x", vpn.Base())
 	}
 	return p.os.store.Read(info.ppn.Base(), arch.PageSize), nil
@@ -343,8 +361,8 @@ func (p *Process) PageBytes(vpn arch.VPN) ([]byte, error) {
 // (zero-padded to the page size), bypassing permission checks. Trace replay
 // uses it to restore a recorded memory image onto freshly faulted frames.
 func (p *Process) SetPageBytes(vpn arch.VPN, data []byte) error {
-	info, ok := p.pages[vpn]
-	if !ok {
+	info := p.mapping(vpn)
+	if info == nil {
 		return fmt.Errorf("hostos: set bytes of unmapped page %#x", vpn.Base())
 	}
 	if len(data) > arch.PageSize {

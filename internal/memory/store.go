@@ -14,14 +14,16 @@ import (
 	"fmt"
 
 	"bordercontrol/internal/arch"
+	"bordercontrol/internal/dense"
 )
 
 // Store is the functional backing store for physical memory. Pages are
 // allocated lazily so a simulated 16 GB system does not cost 16 GB of host
 // RAM.
 type Store struct {
-	size  uint64
-	pages map[arch.PPN]*[arch.PageSize]byte
+	size      uint64
+	pages     dense.Table[*[arch.PageSize]byte] // by PPN; nil reads as zeros
+	populated int
 }
 
 // NewStore returns a physical memory of the given byte size. Size must be a
@@ -30,7 +32,7 @@ func NewStore(size uint64) (*Store, error) {
 	if size == 0 || size%arch.PageSize != 0 {
 		return nil, fmt.Errorf("memory: size %d is not a positive multiple of %d", size, arch.PageSize)
 	}
-	return &Store{size: size, pages: make(map[arch.PPN]*[arch.PageSize]byte)}, nil
+	return &Store{size: size}, nil
 }
 
 // Size returns the physical memory capacity in bytes.
@@ -44,16 +46,17 @@ func (s *Store) Contains(a arch.Phys, n uint64) bool {
 	return uint64(a) < s.size && n <= s.size-uint64(a)
 }
 
-func (s *Store) page(n arch.PPN, alloc bool) *[arch.PageSize]byte {
-	if p, ok := s.pages[n]; ok {
-		return p
+// page returns the materialized page n, or nil when it was never written.
+func (s *Store) page(n arch.PPN) *[arch.PageSize]byte { return s.pages.Get(uint64(n)) }
+
+// pageForWrite returns page n, materializing it on the first write.
+func (s *Store) pageForWrite(n arch.PPN) *[arch.PageSize]byte {
+	p := s.pages.At(uint64(n))
+	if *p == nil {
+		*p = new([arch.PageSize]byte)
+		s.populated++
 	}
-	if !alloc {
-		return nil
-	}
-	p := new([arch.PageSize]byte)
-	s.pages[n] = p
-	return p
+	return *p
 }
 
 // Read copies n bytes at physical address a into a fresh slice. Reads
@@ -70,16 +73,14 @@ func (s *Store) ReadInto(a arch.Phys, buf []byte) {
 		panic(fmt.Sprintf("memory: read [%#x,+%d) outside %d-byte memory", a, len(buf), s.size))
 	}
 	for len(buf) > 0 {
-		pg := s.page(a.PageOf(), false)
+		pg := s.page(a.PageOf())
 		off := a.Offset()
 		chunk := uint64(len(buf))
 		if room := uint64(arch.PageSize) - off; chunk > room {
 			chunk = room
 		}
 		if pg == nil {
-			for i := uint64(0); i < chunk; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:chunk])
 		} else {
 			copy(buf[:chunk], pg[off:off+chunk])
 		}
@@ -94,7 +95,7 @@ func (s *Store) Write(a arch.Phys, data []byte) {
 		panic(fmt.Sprintf("memory: write [%#x,+%d) outside %d-byte memory", a, len(data), s.size))
 	}
 	for len(data) > 0 {
-		pg := s.page(a.PageOf(), true)
+		pg := s.pageForWrite(a.PageOf())
 		off := a.Offset()
 		chunk := uint64(len(data))
 		if room := uint64(arch.PageSize) - off; chunk > room {
@@ -134,16 +135,17 @@ func (s *Store) WriteU32(a arch.Phys, v uint32) {
 	s.Write(a, buf[:])
 }
 
-// ReadByte reads one byte at a.
+// ReadByteAt reads one byte at a.
 func (s *Store) ReadByteAt(a arch.Phys) byte {
 	var buf [1]byte
 	s.ReadInto(a, buf[:])
 	return buf[0]
 }
 
-// WriteByte writes one byte at a.
+// WriteByteAt writes one byte at a.
 func (s *Store) WriteByteAt(a arch.Phys, v byte) {
-	s.Write(a, []byte{v})
+	buf := [1]byte{v}
+	s.Write(a, buf[:])
 }
 
 // ZeroPage clears an entire physical page. The OS uses this when handing
@@ -153,7 +155,10 @@ func (s *Store) ZeroPage(n arch.PPN) {
 		panic(fmt.Sprintf("memory: zero of page %#x outside memory", n))
 	}
 	// Dropping the page is equivalent to zeroing it: absent pages read 0.
-	delete(s.pages, n)
+	if p := s.pages.Ptr(uint64(n)); p != nil && *p != nil {
+		*p = nil
+		s.populated--
+	}
 }
 
 // ZeroRange clears [a, a+n).
@@ -169,10 +174,8 @@ func (s *Store) ZeroRange(a arch.Phys, n uint64) {
 		}
 		if off == 0 && chunk == arch.PageSize {
 			s.ZeroPage(a.PageOf())
-		} else if pg := s.page(a.PageOf(), false); pg != nil {
-			for i := off; i < off+chunk; i++ {
-				pg[i] = 0
-			}
+		} else if pg := s.page(a.PageOf()); pg != nil {
+			clear(pg[off : off+chunk])
 		}
 		a += arch.Phys(chunk)
 		n -= chunk
@@ -181,4 +184,4 @@ func (s *Store) ZeroRange(a arch.Phys, n uint64) {
 
 // PopulatedPages returns how many pages are materialized in the host, which
 // tests use to check laziness.
-func (s *Store) PopulatedPages() int { return len(s.pages) }
+func (s *Store) PopulatedPages() int { return s.populated }

@@ -382,12 +382,16 @@ func runWorkerProc(ctx context.Context, argv, env []string, stderr io.Writer, re
 	// Drain any remaining output so a failed merge can't deadlock a worker
 	// blocked on a full stdout pipe.
 	_, _ = io.Copy(io.Discard, stdout)
+	// The feeder must be done with stdin before Wait, which closes the pipe
+	// itself (os/exec's StdinPipe contract). A worker that exits without
+	// reading everything unblocks the feeder with a broken pipe.
+	fed := <-feedErr
 	waitErr := cmd.Wait()
 	if readErr != nil {
 		return readErr
 	}
-	if err := <-feedErr; err != nil && waitErr == nil {
-		return fmt.Errorf("feeding request: %w", err)
+	if fed != nil && waitErr == nil {
+		return fmt.Errorf("feeding request: %w", fed)
 	}
 	if waitErr != nil {
 		return fmt.Errorf("worker exited: %w", waitErr)

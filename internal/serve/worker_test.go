@@ -26,9 +26,20 @@ func blobHash(blob []byte) string {
 // of running tests. Fan-out tests point FanoutConfig.Argv at os.Args[0]
 // with that variable set, so they exercise the real subprocess path
 // without needing a built bctool on PATH.
+//
+// With BC_SERVE_WORKER=read it only reads its request and exits at once,
+// the earliest a worker can leave.
 func TestMain(m *testing.M) {
-	if os.Getenv("BC_SERVE_WORKER") == "1" {
+	switch os.Getenv("BC_SERVE_WORKER") {
+	case "1":
 		if err := RunWorker(context.Background(), os.Stdin, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	case "read":
+		var req workerRequest
+		if err := json.NewDecoder(os.Stdin).Decode(&req); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -180,6 +191,27 @@ func TestRunWorkerRoundTrip(t *testing.T) {
 		}
 		if *rows[i] != want[i] {
 			t.Errorf("cell %d: worker row %+v != in-process row %+v", i, *rows[i], want[i])
+		}
+	}
+}
+
+// TestRunWorkerProcFeederFinishesFirst drives many jobs through a worker
+// that exits as soon as it has read its request. None may fail: cmd.Wait
+// closes stdin, so calling it while the feeder goroutine may still be
+// closing stdin fails the job with "feeding request: close |1: file
+// already closed".
+func TestRunWorkerProcFeederFinishesFirst(t *testing.T) {
+	req := workerRequest{Jobs: 1, Traces: []workerTrace{{Hash: "pad", Data: make([]byte, 96<<10)}}}
+	jobs := 300
+	if testing.Short() {
+		jobs = 50
+	}
+	noRows := func(wr workerRow) error { return fmt.Errorf("unexpected row %+v", wr) }
+	for i := 0; i < jobs; i++ {
+		err := runWorkerProc(context.Background(), []string{os.Args[0]}, []string{"BC_SERVE_WORKER=read"},
+			os.Stderr, req, noRows)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
 		}
 	}
 }

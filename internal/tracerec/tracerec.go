@@ -33,7 +33,6 @@ package tracerec
 
 import (
 	"fmt"
-	"sort"
 
 	"bordercontrol/internal/accel"
 	"bordercontrol/internal/arch"
@@ -174,7 +173,6 @@ func Record(spec workload.Spec, scale int) (*Trace, error) {
 
 	var vpns []arch.VPN
 	proc.ForEachMapped(func(vpn arch.VPN, _ arch.PPN, _ arch.Perm) { vpns = append(vpns, vpn) })
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
 	for _, vpn := range vpns {
 		data, err := proc.PageBytes(vpn)
 		if err != nil {
