@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all fmt build vet test race race-sim bench check trace-smoke profile-smoke bench-json bench-check fuzz-smoke adversary-smoke fleet-smoke border-matrix-smoke replay-smoke results-smoke sweep-smoke serve-smoke obs-smoke
+.PHONY: all fmt build vet test race race-sim bench check trace-smoke profile-smoke bench-json bench-check fuzz-smoke adversary-smoke fleet-smoke border-matrix-smoke replay-smoke results-smoke sweep-smoke serve-smoke obs-smoke perfbench-vet
 
 all: check
 
@@ -15,6 +15,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark module (perfbench/) is a nested module, so build, vet and
+# test above never compile it, yet it builds against the simulator's
+# packages. Vet and test it here, offline, as perfbench/run.sh builds it.
+PERFBENCH_ENV = GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOENV=off GOFLAGS=
+perfbench-vet:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test .
 
 # Full test suite, including the full-figure determinism sweeps.
 test:
@@ -193,4 +200,4 @@ obs-smoke:
 	! ./obs-smoke-bctool sweepdiff obs-smoke-a.csv obs-smoke-c.csv
 	rm -f obs-smoke-bctool obs-smoke-a.csv obs-smoke-b.csv obs-smoke-c.csv
 
-check: fmt vet build test race race-sim fleet-smoke trace-smoke profile-smoke adversary-smoke border-matrix-smoke replay-smoke results-smoke sweep-smoke serve-smoke obs-smoke fuzz-smoke bench-check
+check: fmt vet build perfbench-vet test race race-sim fleet-smoke trace-smoke profile-smoke adversary-smoke border-matrix-smoke replay-smoke results-smoke sweep-smoke serve-smoke obs-smoke fuzz-smoke bench-check

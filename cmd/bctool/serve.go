@@ -17,6 +17,15 @@ import (
 	"bordercontrol/internal/serve"
 )
 
+// The daemon's HTTP timeouts. A client gets serveReadHeaderTimeout to send
+// its request headers, and an idle keep-alive connection is closed after
+// serveIdleTimeout. There is no write timeout: /v1/watch and the job event
+// streams stay open for as long as their clients read.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // buildLogger turns a -log-level value into the daemon's slog.Logger on
 // stderr, or nil (discard) for "off".
 func buildLogger(level string) (*slog.Logger, error) {
@@ -75,7 +84,11 @@ func serveCmd(ctx context.Context, args []string) error {
 		return err
 	}
 	srv.Start(ctx)
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	if logger != nil {
 		logger.Info("listening", "url", fmt.Sprintf("http://%s", ln.Addr()))
 	}

@@ -2,7 +2,9 @@ package accel
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"bordercontrol/internal/arch"
 	"bordercontrol/internal/ats"
@@ -112,8 +114,23 @@ func (r *rig) buffer(t testing.TB, n uint64) arch.Virt {
 	return v
 }
 
-func storeOp(addr arch.Virt, data []byte) Op {
-	return Op{Kind: arch.Write, Size: uint8(len(data)), Addr: addr, Data: data}
+// appendStore appends a store of data at addr to trace, writing its
+// payload into the phase's arena.
+func appendStore(ph *Phase, trace Trace, addr arch.Virt, data []byte) Trace {
+	ref, ok := PayloadAt(len(ph.Data))
+	if !ok {
+		panic("phase payload arena overflows Op.Payload")
+	}
+	ph.Data = append(ph.Data, data...)
+	return append(trace, Op{Kind: arch.Write, Size: uint8(len(data)), Addr: addr, Payload: ref})
+}
+
+// storePhase is a one-wavefront phase holding a single store of data at
+// addr.
+func storePhase(name string, addr arch.Virt, data []byte) Phase {
+	ph := Phase{Name: name}
+	ph.Traces = []Trace{appendStore(&ph, nil, addr, data)}
+	return ph
 }
 
 func loadOp(addr arch.Virt) Op {
@@ -127,7 +144,7 @@ func TestStoreReachesMemoryThroughHierarchy(t *testing.T) {
 	v := r.buffer(t, arch.PageSize)
 	prog := &Program{
 		Name:   "t",
-		Phases: []Phase{{Name: "k", Traces: []Trace{{storeOp(v, []byte("sandboxed!"))}}}},
+		Phases: []Phase{storePhase("k", v, []byte("sandboxed!"))},
 	}
 	if err := r.gpu.Launch(prog, r.proc.ASID()); err != nil {
 		t.Fatal(err)
@@ -196,7 +213,7 @@ func TestPhaseBarrier(t *testing.T) {
 	r := newRig(t, true)
 	v := r.buffer(t, arch.PageSize)
 	prog := &Program{Name: "t", Phases: []Phase{
-		{Name: "k1", Traces: []Trace{{storeOp(v, []byte{0xAA})}}},
+		storePhase("k1", v, []byte{0xAA}),
 		{Name: "k2", Traces: []Trace{{loadOp(v)}}},
 	}}
 	if err := r.gpu.Launch(prog, r.proc.ASID()); err != nil {
@@ -325,7 +342,7 @@ func TestFlushIgnorerIsContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa := ppn.Base()
-	if _, err := r.hier.store(0, 0, r.proc.ASID(), pa, storeOp(v, []byte("tampered"))); err != nil {
+	if _, err := r.hier.store(0, 0, r.proc.ASID(), pa, []byte("tampered")); err != nil {
 		t.Fatal(err)
 	}
 	if !r.hier.L2().IsDirty(pa) {
@@ -365,7 +382,7 @@ func TestDowngradeFlushWritesBackThroughBorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa := ppn.Base()
-	if _, err := r.hier.store(0, 0, r.proc.ASID(), pa, storeOp(v, []byte("flushed!"))); err != nil {
+	if _, err := r.hier.store(0, 0, r.proc.ASID(), pa, []byte("flushed!")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.os.Protect(r.proc, v, arch.PageSize, arch.PermRead); err != nil {
@@ -409,7 +426,7 @@ func TestUpgradePathChecked(t *testing.T) {
 	}
 	// ...then a (buggy) store to the read-only page: the upgrade or the
 	// eventual writeback is blocked; either way memory stays clean.
-	if _, err := r.hier.store(0, 0, r.proc.ASID(), pa, storeOp(ro, []byte{0x66})); err == nil {
+	if _, err := r.hier.store(0, 0, r.proc.ASID(), pa, []byte{0x66}); err == nil {
 		t.Error("store to read-only block should fail at the border")
 	}
 	if r.bc.Violations.Value() == 0 {
@@ -449,7 +466,7 @@ func TestEmptyProgram(t *testing.T) {
 
 func TestProgramCounters(t *testing.T) {
 	p := &Program{Phases: []Phase{
-		{Traces: []Trace{{loadOp(0), storeOp(0, []byte{1})}}},
+		{Traces: []Trace{{loadOp(0), {Kind: arch.Write, Size: 1}}}},
 		{Traces: []Trace{{loadOp(8)}}},
 	}}
 	if p.Ops() != 3 {
@@ -460,14 +477,42 @@ func TestProgramCounters(t *testing.T) {
 	}
 }
 
+// TestOpLayout pins the packed op: 16 bytes and no pointer fields, so a
+// trace is one flat array that fits four ops to a host cache line and that
+// the GC never scans.
+func TestOpLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 16 {
+		t.Errorf("Op is %d bytes, want 16", n)
+	}
+	typ := reflect.TypeOf(Op{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("Op.%s is a %s; an op holds only integers", f.Name, f.Type.Kind())
+		}
+	}
+}
+
 func TestOpBytes(t *testing.T) {
-	if got := opBytes(storeOp(0, []byte{1, 2, 3})); !bytes.Equal(got, []byte{1, 2, 3}) {
+	var ph Phase
+	ph.Data = []byte{9, 9}
+	tr := appendStore(&ph, nil, 0, []byte{1, 2, 3})
+	if got := opBytes(&tr[0], ph.Data); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("opBytes = %v", got)
+	}
+	if tr[0].Payload != 3 || !bytes.Equal(ph.Data, []byte{9, 9, 1, 2, 3}) {
+		t.Errorf("payload ref %d into arena %v, want 3 into [9 9 1 2 3]", tr[0].Payload, ph.Data)
 	}
 	// A store without payload (hand-written test traces) yields zeros of
 	// the op's size.
-	got := opBytes(Op{Kind: arch.Write, Size: 4})
-	if len(got) != 4 {
-		t.Errorf("fallback size = %d", len(got))
+	got := opBytes(&Op{Kind: arch.Write, Size: 4}, ph.Data)
+	if len(got) != 4 || !bytes.Equal(got, make([]byte, 4)) {
+		t.Errorf("fallback = %v, want 4 zero bytes", got)
+	}
+	// A zero-length payload stays a payload: it writes nothing.
+	tr = appendStore(&ph, tr, 0, nil)
+	if got := opBytes(&tr[1], ph.Data); len(got) != 0 {
+		t.Errorf("empty payload = %v", got)
 	}
 }

@@ -25,7 +25,7 @@ func sweepStores(t *testing.T, h Hierarchy, asid arch.ASID, v arch.Virt, n uint6
 	var off uint64
 	data := []byte{1, 2, 3, 4}
 	return func() {
-		if _, err := h.Access(at, 0, asid, storeOp(v+arch.Virt(off), data)); err != nil {
+		if _, err := h.Access(at, 0, asid, Op{Kind: arch.Write, Size: 4, Addr: v + arch.Virt(off)}, data); err != nil {
 			t.Fatal(err)
 		}
 		off = (off + arch.BlockSize) % n

@@ -33,6 +33,7 @@ type GPU struct {
 	asid     arch.ASID
 	prog     *Program
 	phaseIdx int
+	data     []byte // the running phase's payload arena
 	queue    []Trace
 	running  int
 	nextSlot int
@@ -164,6 +165,7 @@ func (g *GPU) nextPhase(at sim.Time) {
 		return
 	}
 	ph := &g.prog.Phases[g.phaseIdx]
+	g.data = ph.Data
 	g.queue = append(g.queue[:0], ph.Traces...)
 	if len(g.queue) == 0 {
 		g.nextPhase(at)
@@ -211,7 +213,11 @@ func (g *GPU) step(at sim.Time, w int32) {
 	cu := int(wv.cu)
 	at += g.cfg.Clock.Cycles(uint64(op.Compute))
 	at = g.issue[cu].Claim(at) // LSU port: one memory op per CU per cycle
-	done, err := g.hier.Access(at, cu, g.asid, op)
+	var data []byte
+	if op.Kind == arch.Write {
+		data = opBytes(&op, g.data)
+	}
+	done, err := g.hier.Access(at, cu, g.asid, op, data)
 	if err != nil {
 		g.err = err
 		g.release(w)

@@ -23,21 +23,24 @@ var ErrBlocked = errors.New("accel: request blocked at border")
 // only in which Hierarchy they use.
 type Hierarchy interface {
 	// Access performs op for a wavefront on compute unit cu of process
-	// asid, returning the completion time.
-	Access(at sim.Time, cu int, asid arch.ASID, op Op) (sim.Time, error)
+	// asid, returning the completion time. data holds the bytes a store
+	// writes (nil for loads).
+	Access(at sim.Time, cu int, asid arch.ASID, op Op, data []byte) (sim.Time, error)
 	// Drain flushes whatever accelerator-side state must reach memory at
 	// kernel end (dirty caches) and returns the completion time.
 	Drain(at sim.Time) sim.Time
 }
 
-// zeroBlock backs the data of ops that carry none. Callers only ever copy
-// from the returned slice (cache.Write copies into the line), so sharing
-// one immutable buffer keeps stores allocation-free.
+// zeroBlock backs the data of stores that carry none. Callers only ever
+// copy from the returned slice (cache.Write copies into the line), so
+// sharing one immutable buffer keeps stores allocation-free.
 var zeroBlock [arch.BlockSize]byte
 
-func opBytes(op Op) []byte {
-	if op.Data != nil {
-		return op.Data
+// opBytes returns the bytes store op writes: its payload in arena, or zeros
+// when it carries none.
+func opBytes(op *Op, arena []byte) []byte {
+	if op.Payload != 0 {
+		return op.PayloadIn(arena)
 	}
 	n := int(op.Size)
 	if n <= 0 || n > int(arch.BlockSize) {
@@ -183,7 +186,7 @@ func (h *Sandboxed) SetProfiler(p *prof.Profiler) {
 }
 
 // Access implements Hierarchy.
-func (h *Sandboxed) Access(at sim.Time, cu int, asid arch.ASID, op Op) (sim.Time, error) {
+func (h *Sandboxed) Access(at sim.Time, cu int, asid arch.ASID, op Op, data []byte) (sim.Time, error) {
 	if h.pr != nil {
 		h.pr.Enter("gpu/wavefront")
 		defer h.pr.Exit()
@@ -206,7 +209,7 @@ func (h *Sandboxed) Access(at sim.Time, cu int, asid arch.ASID, op Op) (sim.Time
 		return h.load(at, cu, asid, pa)
 	}
 	h.Stores.Inc()
-	return h.store(at, cu, asid, pa, op)
+	return h.store(at, cu, asid, pa, data)
 }
 
 func (h *Sandboxed) load(at sim.Time, cu int, asid arch.ASID, pa arch.Phys) (sim.Time, error) {
@@ -265,7 +268,7 @@ func (h *Sandboxed) l2Fill(at sim.Time, asid arch.ASID, pa arch.Phys, intent arc
 // wavefront's critical path. No cache level may absorb the data before the
 // border authorizes it — a blocked store that had already updated the L1
 // would serve forbidden data to later loads.
-func (h *Sandboxed) store(at sim.Time, cu int, asid arch.ASID, pa arch.Phys, op Op) (sim.Time, error) {
+func (h *Sandboxed) store(at sim.Time, cu int, asid arch.ASID, pa arch.Phys, data []byte) (sim.Time, error) {
 	l1 := h.l1s[cu]
 	at += l1.HitLatency()
 	if h.pr != nil {
@@ -283,9 +286,9 @@ func (h *Sandboxed) store(at sim.Time, cu int, asid arch.ASID, pa arch.Phys, op 
 		}
 	}
 	if l1.Contains(pa) {
-		l1.Write(pa, opBytes(op))
+		l1.Write(pa, data)
 	}
-	h.l2.Write(pa, opBytes(op))
+	h.l2.Write(pa, data)
 	return at, nil
 }
 

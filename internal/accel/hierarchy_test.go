@@ -75,7 +75,7 @@ func TestIOMMUHierarchyFunctional(t *testing.T) {
 	v := r.rwPage(t)
 	// Store then load, uncached: the store's RMW must land in memory
 	// immediately (there is no cache to hold it).
-	done, err := h.Access(0, 0, r.proc.ASID(), Op{Kind: arch.Write, Size: 5, Addr: v, Data: []byte("hello")})
+	done, err := h.Access(0, 0, r.proc.ASID(), Op{Kind: arch.Write, Size: 5, Addr: v}, []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestIOMMUHierarchyFunctional(t *testing.T) {
 		t.Errorf("uncached store did not land: %q", got[:])
 	}
 	// Loads pay translation + DRAM every time.
-	d1, err := h.Access(done, 0, r.proc.ASID(), Op{Kind: arch.Read, Size: 8, Addr: v})
+	d1, err := h.Access(done, 0, r.proc.ASID(), Op{Kind: arch.Read, Size: 8, Addr: v}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +114,13 @@ func TestIOMMUThroughputPort(t *testing.T) {
 	h.border = r.dirPort(t, h)
 	v := r.rwPage(t)
 	// Warm the trusted TLB so the walk doesn't dominate the measurement.
-	if _, err := h.Access(0, 0, r.proc.ASID(), Op{Kind: arch.Read, Size: 8, Addr: v}); err != nil {
+	if _, err := h.Access(0, 0, r.proc.ASID(), Op{Kind: arch.Read, Size: 8, Addr: v}, nil); err != nil {
 		t.Fatal(err)
 	}
 	start := sim.Time(1000000)
 	var first, last sim.Time
 	for i := 0; i < 16; i++ {
-		done, err := h.Access(start, 0, r.proc.ASID(), Op{Kind: arch.Read, Size: 8, Addr: v})
+		done, err := h.Access(start, 0, r.proc.ASID(), Op{Kind: arch.Read, Size: 8, Addr: v}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestCAPIHierarchyFunctional(t *testing.T) {
 
 	v := r.rwPage(t)
 	// Store goes into the trusted L2 (dirty), not memory.
-	if _, err := h.Access(0, 0, r.proc.ASID(), Op{Kind: arch.Write, Size: 4, Addr: v, Data: []byte("capi")}); err != nil {
+	if _, err := h.Access(0, 0, r.proc.ASID(), Op{Kind: arch.Write, Size: 4, Addr: v}, []byte("capi")); err != nil {
 		t.Fatal(err)
 	}
 	if h.L2().DirtyBlocks() == 0 {
@@ -179,11 +179,11 @@ func TestCAPILoadHitsItsL2(t *testing.T) {
 	}
 	h.border = r.dirPort(t, h)
 	v := r.rwPage(t)
-	d1, err := h.Access(0, 0, r.proc.ASID(), Op{Kind: arch.Read, Size: 8, Addr: v})
+	d1, err := h.Access(0, 0, r.proc.ASID(), Op{Kind: arch.Read, Size: 8, Addr: v}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := h.Access(d1, 0, r.proc.ASID(), Op{Kind: arch.Read, Size: 8, Addr: v})
+	d2, err := h.Access(d1, 0, r.proc.ASID(), Op{Kind: arch.Read, Size: 8, Addr: v}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCAPIRecall(t *testing.T) {
 	}
 	h.border = r.dirPort(t, h)
 	v := r.rwPage(t)
-	if _, err := h.Access(0, 0, r.proc.ASID(), Op{Kind: arch.Write, Size: 1, Addr: v, Data: []byte{7}}); err != nil {
+	if _, err := h.Access(0, 0, r.proc.ASID(), Op{Kind: arch.Write, Size: 1, Addr: v}, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
 	pa, err := r.proc.Translate(v, arch.Read)
@@ -227,7 +227,7 @@ func TestSandboxedDrainStallDelaysAccesses(t *testing.T) {
 	r := newRig(t, false)
 	v := r.buffer(t, arch.PageSize)
 	r.hier.OnDowngrade(hostos.Downgrade{ASID: r.proc.ASID(), VPN: v.PageOf()})
-	done, err := r.hier.Access(0, 0, r.proc.ASID(), loadOp(v))
+	done, err := r.hier.Access(0, 0, r.proc.ASID(), loadOp(v), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestSandboxedDrainStallDelaysAccesses(t *testing.T) {
 func TestSandboxedTLBInvalidation(t *testing.T) {
 	r := newRig(t, false)
 	v := r.buffer(t, arch.PageSize)
-	if _, err := r.hier.Access(0, 0, r.proc.ASID(), loadOp(v)); err != nil {
+	if _, err := r.hier.Access(0, 0, r.proc.ASID(), loadOp(v), nil); err != nil {
 		t.Fatal(err)
 	}
 	if r.hier.L1TLB(0).Valid() != 1 {
@@ -252,7 +252,7 @@ func TestSandboxedTLBInvalidation(t *testing.T) {
 	if r.hier.L1TLB(0).Valid() != 0 {
 		t.Error("page invalidation missed")
 	}
-	if _, err := r.hier.Access(0, 1, r.proc.ASID(), loadOp(v)); err != nil {
+	if _, err := r.hier.Access(0, 1, r.proc.ASID(), loadOp(v), nil); err != nil {
 		t.Fatal(err)
 	}
 	r.hier.InvalidateTLBAll()

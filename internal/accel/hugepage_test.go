@@ -41,12 +41,14 @@ func TestHugePageEndToEnd(t *testing.T) {
 	}
 
 	// A GPU program touching several corners of the huge page runs clean.
+	ph := Phase{Name: "k"}
 	var tr Trace
 	for _, off := range []arch.Virt{0, 4096 * 100, 4096 * 511, arch.HugePageSize - 32} {
-		tr = append(tr, storeOp(v+off, []byte{0xCD}))
+		tr = appendStore(&ph, tr, v+off, []byte{0xCD})
 		tr = append(tr, loadOp(v+off))
 	}
-	prog := &Program{Name: "huge", Phases: []Phase{{Name: "k", Traces: []Trace{tr}}}}
+	ph.Traces = []Trace{tr}
+	prog := &Program{Name: "huge", Phases: []Phase{ph}}
 	if err := r.gpu.Launch(prog, r.proc.ASID()); err != nil {
 		t.Fatal(err)
 	}

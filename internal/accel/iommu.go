@@ -54,7 +54,7 @@ func NewIOMMUHierarchy(name string, eng *sim.Engine, atsvc *ats.ATS, border *Bor
 // Access implements Hierarchy: translate and check every request at the
 // IOMMU, then access memory directly (no accelerator caches to filter
 // anything).
-func (h *IOMMUHierarchy) Access(at sim.Time, cu int, asid arch.ASID, op Op) (sim.Time, error) {
+func (h *IOMMUHierarchy) Access(at sim.Time, cu int, asid arch.ASID, op Op, data []byte) (sim.Time, error) {
 	if h.pr != nil {
 		h.pr.Enter("gpu/wavefront")
 		defer h.pr.Exit()
@@ -88,7 +88,7 @@ func (h *IOMMUHierarchy) Access(at sim.Time, cu int, asid arch.ASID, op Op) (sim
 	// DRAM, but the write still claims memory bandwidth.
 	var buf [arch.BlockSize]byte
 	h.border.dram.Store().ReadInto(pa.BlockOf(), buf[:])
-	copy(buf[uint64(pa)&arch.BlockMask:], opBytes(op))
+	copy(buf[uint64(pa)&arch.BlockMask:], data)
 	if _, ok := h.border.WriteBlock(at, asid, pa.BlockOf(), &buf); !ok {
 		return at, ErrBlocked
 	}
@@ -185,7 +185,7 @@ func NewCAPIHierarchy(cfg CAPIConfig, eng *sim.Engine, atsvc *ats.ATS, border *B
 func (h *CAPIHierarchy) L2() *cache.Cache { return h.l2 }
 
 // Access implements Hierarchy.
-func (h *CAPIHierarchy) Access(at sim.Time, cu int, asid arch.ASID, op Op) (sim.Time, error) {
+func (h *CAPIHierarchy) Access(at sim.Time, cu int, asid arch.ASID, op Op, data []byte) (sim.Time, error) {
 	if h.pr != nil {
 		h.pr.Enter("gpu/wavefront")
 		defer h.pr.Exit()
@@ -223,7 +223,7 @@ func (h *CAPIHierarchy) Access(at sim.Time, cu int, asid arch.ASID, op Op) (sim.
 		// Posted: the wavefront retires once the store is handed to the
 		// trusted unit; the fill/writeback above still claimed resources.
 		h.Stores.Inc()
-		h.l2.Write(pa, opBytes(op))
+		h.l2.Write(pa, data)
 		return at, nil
 	}
 	h.Loads.Inc()

@@ -6,6 +6,8 @@
 package accel
 
 import (
+	"math"
+
 	"bordercontrol/internal/arch"
 	"bordercontrol/internal/hostos"
 )
@@ -13,7 +15,19 @@ import (
 // Op is one memory operation of a wavefront: some compute, then a single
 // coalesced access. Traces are produced by internal/workload from real
 // algorithm executions.
+//
+// An Op is 16 bytes with no pointers, so a trace is one flat array the GC
+// never scans. A store's bytes live in its phase's payload arena
+// (Phase.Data), located by Payload.
 type Op struct {
+	// Addr is the virtual address accessed.
+	Addr arch.Virt
+	// Payload locates a store's bytes in the arena of the phase holding
+	// the op: they are Data[Payload-1 : Payload-1+Size]. Zero means the op
+	// carries no payload — every load, and a store that writes zeros.
+	// Replaying stores with their real values keeps simulated memory
+	// functionally correct.
+	Payload uint32
 	// Compute is the number of GPU cycles of computation preceding the
 	// access.
 	Compute uint16
@@ -22,12 +36,29 @@ type Op struct {
 	// Size is the access width in bytes (1..32, one coalesced sector at
 	// most; block-sized traffic is modelled by the caches, not the ops).
 	Size uint8
-	// Addr is the virtual address accessed.
-	Addr arch.Virt
-	// Data holds the stored bytes (Kind == Write only, len == Size);
-	// replaying stores with their real values keeps simulated memory
-	// functionally correct.
-	Data []byte
+}
+
+// MaxPayloadOffset is the largest arena offset an Op.Payload can locate. An
+// arena may end past it, but no payload may start beyond it.
+const MaxPayloadOffset = math.MaxUint32 - 1
+
+// PayloadAt returns the Op.Payload value locating a payload that starts at
+// arena offset off, and false when off is beyond MaxPayloadOffset.
+func PayloadAt(off int) (uint32, bool) {
+	if off < 0 || off > MaxPayloadOffset {
+		return 0, false
+	}
+	return uint32(off) + 1, true
+}
+
+// PayloadIn returns op's stored bytes from arena, the Data of the phase
+// holding op, or nil when op carries no payload.
+func (op *Op) PayloadIn(arena []byte) []byte {
+	if op.Payload == 0 {
+		return nil
+	}
+	off := op.Payload - 1
+	return arena[off : off+uint32(op.Size)]
 }
 
 // Trace is the in-order memory behaviour of one wavefront within a phase.
@@ -39,6 +70,8 @@ type Trace []Op
 type Phase struct {
 	Name   string
 	Traces []Trace
+	// Data is the payload arena of the phase's stores (see Op.Payload).
+	Data []byte
 }
 
 // Program is a whole accelerator workload: an ordered list of phases plus

@@ -39,7 +39,7 @@ func TestBlockedStoreLeavesNoL1Residue(t *testing.T) {
 	}
 
 	// The store's ownership upgrade is refused at the border.
-	if _, err := r.hier.store(0, 0, r.proc.ASID(), pa, storeOp(v, []byte("tampered"))); !errors.Is(err, ErrBlocked) {
+	if _, err := r.hier.store(0, 0, r.proc.ASID(), pa, []byte("tampered")); !errors.Is(err, ErrBlocked) {
 		t.Fatalf("store through a read-only grant = %v, want ErrBlocked", err)
 	}
 
@@ -77,7 +77,7 @@ func TestBlockedFillLeavesNoResidue(t *testing.T) {
 		if intent == arch.Read {
 			_, err = r.hier.load(0, 0, r.proc.ASID(), pa)
 		} else {
-			_, err = r.hier.store(0, 0, r.proc.ASID(), pa, storeOp(v, []byte{0x99}))
+			_, err = r.hier.store(0, 0, r.proc.ASID(), pa, []byte{0x99})
 		}
 		if !errors.Is(err, ErrBlocked) {
 			t.Fatalf("%v fill of ungranted page = %v, want ErrBlocked", intent, err)

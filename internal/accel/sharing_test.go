@@ -35,7 +35,7 @@ func TestCPUReadsGPUDirtyData(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The GPU dirties the block in its L2 (no writeback yet).
-	if _, err := r.hier.store(0, 0, r.proc.ASID(), pa, storeOp(v, []byte("gpu-wrote"))); err != nil {
+	if _, err := r.hier.store(0, 0, r.proc.ASID(), pa, []byte("gpu-wrote")); err != nil {
 		t.Fatal(err)
 	}
 	if !r.hier.L2().IsDirty(pa) {

@@ -121,7 +121,7 @@ func attackFlushIgnore(c *Context) {
 
 	// Legitimate store while writable: dirties the caches, not memory.
 	payload := c.blockData(0xB2)
-	if _, err := c.Hier.Access(c.Eng.Now(), 0, p.ASID(), accel.Op{Kind: arch.Write, Size: 32, Addr: v, Data: payload[:32]}); err != nil {
+	if _, err := c.Hier.Access(c.Eng.Now(), 0, p.ASID(), accel.Op{Kind: arch.Write, Size: 32, Addr: v}, payload[:32]); err != nil {
 		c.Failf("legitimate store: %v", err)
 		return
 	}
@@ -300,7 +300,7 @@ func attackDirtyWritebackInject(c *Context) {
 	pa := pas[0]
 
 	payload := c.blockData(0xE5)
-	if _, err := c.Hier.Access(c.Eng.Now(), 0, p.ASID(), accel.Op{Kind: arch.Write, Size: 32, Addr: v, Data: payload[:32]}); err != nil {
+	if _, err := c.Hier.Access(c.Eng.Now(), 0, p.ASID(), accel.Op{Kind: arch.Write, Size: 32, Addr: v}, payload[:32]); err != nil {
 		c.Failf("legitimate store: %v", err)
 		return
 	}

@@ -137,7 +137,9 @@ func (c *Cache) Lookup(a arch.Phys) bool {
 }
 
 // Fill installs the block containing a with the given data and returns the
-// evicted dirty victim, if the replaced line must be written back.
+// evicted dirty victim, if the replaced line must be written back. A block
+// already present, wherever in the set, is refilled in place, so a set
+// never holds two lines for one block.
 func (c *Cache) Fill(a arch.Phys, data []byte) (DirtyBlock, bool) {
 	a = a.BlockOf()
 	if len(data) != arch.BlockSize {
@@ -146,21 +148,24 @@ func (c *Cache) Fill(a arch.Phys, data []byte) (DirtyBlock, bool) {
 	c.Fills.Inc()
 	set := c.set(a)
 	c.tick++
-	victim := 0
+	victim, free := 0, -1
 	for i := range set {
-		if set[i].valid && set[i].tag == tagOf(a) {
+		switch {
+		case !set[i].valid:
+			if free < 0 {
+				free = i
+			}
+		case set[i].tag == tagOf(a):
 			// Refill of a present block (e.g. upgrade); keep dirty state.
 			copy(set[i].data[:], data)
 			set[i].lru = c.tick
 			return DirtyBlock{}, false
-		}
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
+		case set[i].lru < set[victim].lru:
 			victim = i
 		}
+	}
+	if free >= 0 {
+		victim = free
 	}
 	v := &set[victim]
 	var wb DirtyBlock

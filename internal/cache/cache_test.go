@@ -300,3 +300,26 @@ func TestAgainstReferenceModel(t *testing.T) {
 		persist(db)
 	}
 }
+
+// TestRefillAfterHoleLeavesNoDuplicate: a drop leaves a free way ahead of a
+// valid line. Refilling that line's block must update it in place, not
+// install a second copy in the hole that a later drop would leave behind.
+func TestRefillAfterHoleLeavesNoDuplicate(t *testing.T) {
+	c := mustCache(t, 4*arch.BlockSize, 4, WriteBack) // one set, 4 ways
+	c.Fill(0x000, block(1))
+	c.Fill(0x080, block(2))
+	c.Drop(0x000)
+	c.Fill(0x080, block(3))
+	if n := c.ValidBlocks(); n != 1 {
+		t.Errorf("%d valid lines after refilling 0x080, want 1", n)
+	}
+	var got [1]byte
+	c.Read(0x080, got[:])
+	if got[0] != 3 {
+		t.Errorf("0x080 holds %d, want the refilled 3", got[0])
+	}
+	c.Drop(0x080)
+	if c.Contains(0x080) {
+		t.Error("0x080 still cached after its drop: a duplicate survived")
+	}
+}

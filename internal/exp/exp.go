@@ -70,7 +70,10 @@ type Runner struct {
 	OnDone func(Result)
 }
 
-func (r *Runner) workers() int {
+// PoolSize returns how many workers the runner's pool has: Workers, or
+// GOMAXPROCS when that is zero or negative. A job list shorter than the
+// pool uses only as many.
+func (r *Runner) PoolSize() int {
 	if r == nil || r.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -104,7 +107,7 @@ func (r *Runner) run(ctx context.Context, jobs []Job, order []int) []Result {
 		panic(fmt.Sprintf("exp: start order has %d entries for %d jobs", len(order), len(jobs)))
 	}
 	results := make([]Result, len(jobs))
-	workers := r.workers()
+	workers := r.PoolSize()
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}

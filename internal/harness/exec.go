@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,42 +109,62 @@ type cell struct {
 }
 
 // planStreams pairs every run with its stream, keyed by workload name and
-// Params.Scale, and returns the start order: runs grouped by stream,
-// streams in order of first appearance, caller order within a stream.
+// Params.Scale, and returns the start order for a pool of workers. Runs are
+// grouped by stream, streams in order of first appearance, caller order
+// within a stream; a run that replays its own trace file is a group of its
+// own, in its place. The first run of each stream records it, and that
+// recording run starts workers-1 streams ahead of the other runs of the
+// earlier streams: while the pool works through one stream's runs, the
+// next streams are already being recorded, so no worker idles waiting for
+// a recording. With one worker that is plain grouped order.
+//
 // Grouped starts keep only the streams of the runs in flight alive, about
-// one recording per worker; a list that interleaves streams (Figure 7's
+// two recordings per worker; a list that interleaves streams (Figure 7's
 // waves) would otherwise hold every recording for the whole list.
-func planStreams(p Params, specs []runSpec) ([]cell, []int) {
+func planStreams(p Params, specs []runSpec, workers int) ([]cell, []int) {
 	type key struct {
 		workload string
 		scale    int
 	}
 	cells := make([]cell, len(specs))
-	group := make([]int, len(specs)) // index of the first run of each run's stream
+	var groups [][]int  // each stream's runs, or one trace-file run, by first appearance
+	var nth []int       // per group: its stream's index in recording, or -1
+	var recording []int // each stream's first run, which records it
 	first := map[key]int{}
 	for i, s := range specs {
 		cells[i].runSpec = s
-		group[i] = i
 		pp := s.params(p)
 		if pp.Trace != "" {
-			continue // replays its own recording file
+			// Replays its own recording file.
+			groups, nth = append(groups, []int{i}), append(nth, -1)
+			continue
 		}
 		k := key{s.Spec.Name, pp.Scale}
-		j, ok := first[k]
+		g, ok := first[k]
 		if !ok {
-			j, first[k] = i, i
+			g, first[k] = len(groups), len(groups)
+			groups, nth = append(groups, nil), append(nth, len(recording))
+			recording = append(recording, i)
 			cells[i].st = &stream{spec: s.Spec, scale: pp.Scale}
 		}
-		st := cells[j].st
+		st := cells[recording[nth[g]]].st
 		st.left.Add(1)
 		cells[i].st = st
-		group[i] = j
+		groups[g] = append(groups[g], i)
 	}
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
+	lead := max(workers, 1) - 1
+	order := make([]int, 0, len(specs))
+	started := 0 // streams whose recording run is in order
+	for g, runs := range groups {
+		if nth[g] < 0 {
+			order = append(order, runs...)
+			continue
+		}
+		for ; started < len(recording) && started <= nth[g]+lead; started++ {
+			order = append(order, recording[started])
+		}
+		order = append(order, runs[1:]...)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return group[order[a]] < group[order[b]] })
 	return cells, order
 }
 
@@ -157,8 +176,9 @@ func planStreams(p Params, specs []runSpec) ([]cell, []int) {
 // once per call and replayed into every run of it (see stream); a failed
 // recording fails each run that needed it with a build-stage *RunError.
 func runAll(ctx context.Context, ex Exec, p Params, specs []runSpec) ([]RunResult, error) {
-	cells, order := planStreams(p, specs)
-	return exp.MapOrder(ctx, ex.runner(), cells, order,
+	runner := ex.runner()
+	cells, order := planStreams(p, specs, runner.PoolSize())
+	return exp.MapOrder(ctx, runner, cells, order,
 		func(_ int, c cell) string { return c.Label },
 		func(ctx context.Context, c cell) (RunResult, error) {
 			opts := c.Opts

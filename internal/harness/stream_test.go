@@ -14,9 +14,12 @@ import (
 )
 
 // TestPlanStreamsGroupsByStream: runs share a stream exactly when they
-// share a workload name and Params.Scale; the start order groups each
-// stream's runs in caller order, streams by first appearance, and a run
-// that replays its own trace file keeps its place with no stream.
+// share a workload name and Params.Scale; at one worker the start order
+// groups each stream's runs in caller order, streams by first appearance,
+// and a run that replays its own trace file keeps its place with no
+// stream. With more workers each stream's recording run starts workers-1
+// streams ahead, and with more workers than streams every recording run
+// starts first.
 func TestPlanStreamsGroupsByStream(t *testing.T) {
 	a, _ := workload.ByName("hotspot")
 	b, _ := workload.ByName("nn")
@@ -32,10 +35,17 @@ func TestPlanStreamsGroupsByStream(t *testing.T) {
 		{Label: "b/bcc", Mode: BCBCC, Spec: b},
 		{Label: "a/x2", Mode: BCBCC, Spec: a, P: &scaled},
 	}
-	cells, order := planStreams(p, list)
-	if want := []int{0, 2, 1, 4, 3, 5}; !reflect.DeepEqual(order, want) {
-		t.Errorf("start order %v, want %v", order, want)
+	for workers, want := range map[int][]int{
+		1: {0, 2, 1, 4, 3, 5},
+		2: {0, 1, 2, 5, 4, 3},
+		3: {0, 1, 5, 2, 4, 3},
+		8: {0, 1, 5, 2, 4, 3},
+	} {
+		if _, order := planStreams(p, list, workers); !reflect.DeepEqual(order, want) {
+			t.Errorf("%d workers: start order %v, want %v", workers, order, want)
+		}
 	}
+	cells, _ := planStreams(p, list, 1)
 	if cells[0].st == nil || cells[0].st != cells[2].st || cells[1].st != cells[4].st {
 		t.Error("runs of one stream do not share it")
 	}
@@ -49,6 +59,37 @@ func TestPlanStreamsGroupsByStream(t *testing.T) {
 		if got := cells[i].st.left.Load(); got != want {
 			t.Errorf("stream of %s counts %d runs, want %d", list[i].Label, got, want)
 		}
+	}
+}
+
+// TestPlanStreamsLeadsRecordings: Figure 4's shape, seven streams of five
+// runs each. At two workers every stream's recording run starts before the
+// other runs of the stream ahead of it: r0, r1, s0, r2, s1, ..., r6, s5, s6.
+func TestPlanStreamsLeadsRecordings(t *testing.T) {
+	var list []runSpec
+	for _, mode := range Modes() {
+		for _, spec := range workload.All() {
+			list = append(list, runSpec{Label: spec.Name + "/" + shortMode(mode), Mode: mode, Spec: spec})
+		}
+	}
+	const streams, runs = 7, 5
+	if len(list) != streams*runs {
+		t.Fatalf("%d runs, want %d", len(list), streams*runs)
+	}
+	run := func(s, k int) int { return k*streams + s } // run k of stream s
+	var want []int
+	want = append(want, run(0, 0), run(1, 0))
+	for s := 0; s < streams; s++ {
+		for k := 1; k < runs; k++ {
+			want = append(want, run(s, k))
+		}
+		if s+2 < streams {
+			want = append(want, run(s+2, 0))
+		}
+	}
+	_, order := planStreams(DefaultParams(), list, 2)
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("start order\n%v, want\n%v", order, want)
 	}
 }
 

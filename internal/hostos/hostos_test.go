@@ -472,3 +472,71 @@ func TestDeadProcessRefusesWork(t *testing.T) {
 		t.Error("protect in dead process should fail")
 	}
 }
+
+// TestWordAccessMatchesChunkedPath: ReadU32/WriteU32 take a direct path for
+// a word inside one page. Whatever the path, they must move the same bytes
+// as Read/Write, fault pages in the same order, break copy-on-write, and
+// fail with the same errors.
+func TestWordAccessMatchesChunkedPath(t *testing.T) {
+	o := newOS(t)
+	p, _ := o.NewProcess("p")
+	base, _ := p.Mmap(2*arch.PageSize, arch.PermRW)
+	var faults []arch.VPN
+	p.OnFault = func(vpn arch.VPN) { faults = append(faults, vpn) }
+	// The first read faults the first page; the straddling write faults
+	// the second page after it.
+	if v, err := p.ReadU32(base + 8); err != nil || v != 0 {
+		t.Fatalf("fresh word = %#x, %v", v, err)
+	}
+	for i, off := range []arch.Virt{arch.PageSize - 2, 0, 100, arch.PageSize - 4, arch.PageSize - 3, arch.PageSize + 4} {
+		x := uint32(0xA1B2C3D4) + uint32(i)
+		if err := p.WriteU32(base+off, x); err != nil {
+			t.Fatal(err)
+		}
+		var b [4]byte
+		if err := p.Read(base+off, b[:]); err != nil {
+			t.Fatal(err)
+		}
+		if want := [4]byte{byte(x), byte(x >> 8), byte(x >> 16), byte(x >> 24)}; b != want {
+			t.Errorf("WriteU32 at +%#x stored % x, want % x", off, b, want)
+		}
+		if got, err := p.ReadU32(base + off); err != nil || got != x {
+			t.Errorf("ReadU32 at +%#x = %#x, %v; want %#x", off, got, err, x)
+		}
+	}
+	if want := []arch.VPN{base.PageOf(), base.PageOf() + 1}; len(faults) != 2 || faults[0] != want[0] || faults[1] != want[1] {
+		t.Errorf("fault order %v, want %v", faults, want)
+	}
+
+	// Copy-on-write: a word store into a shared page takes a private copy.
+	dst, _ := o.NewProcess("dst")
+	if err := o.ShareCOW(p, dst, base, arch.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.WriteU32(base+100, 7); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := p.ReadU32(base + 100); v == 7 {
+		t.Error("a word store through a CoW mapping reached the sharer")
+	}
+
+	// Permission and mapping failures are the same segfaults.
+	ro, _ := p.Mmap(arch.PageSize, arch.PermRead)
+	var sf *Segfault
+	if err := p.WriteU32(ro+4, 1); !errors.As(err, &sf) || sf.Kind != arch.Write || sf.Addr != ro+4 {
+		t.Errorf("word store to read-only = %v, want a write segfault at %#x", err, ro+4)
+	}
+	if _, err := p.ReadU32(0x10); !errors.As(err, &sf) || sf.Kind != arch.Read || sf.Addr != 0x10 {
+		t.Errorf("unmapped word load = %v, want a read segfault at 0x10", err)
+	}
+
+	o.Exit(p)
+	var b [4]byte
+	want := p.Read(base, b[:])
+	if _, err := p.ReadU32(base); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("dead ReadU32 = %v, want %v", err, want)
+	}
+	if err := p.WriteU32(base, 1); err == nil || err.Error() != want.Error() {
+		t.Errorf("dead WriteU32 = %v, want %v", err, want)
+	}
+}

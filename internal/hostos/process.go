@@ -269,7 +269,7 @@ func (p *Process) Write(v arch.Virt, data []byte) error {
 // bytes once n is 0.
 func (p *Process) chunk(v arch.Virt, n int, kind arch.AccessKind) (arch.Phys, int, error) {
 	if p.dead {
-		return 0, 0, fmt.Errorf("hostos: access in dead process %q", p.name)
+		return 0, 0, p.deadErr()
 	}
 	if n == 0 {
 		return 0, 0, nil
@@ -281,19 +281,53 @@ func (p *Process) chunk(v arch.Virt, n int, kind arch.AccessKind) (arch.Phys, in
 	return pa, min(n, arch.PageSize-int(v.Offset())), nil
 }
 
-// ReadU32 reads a 32-bit word from process memory.
-func (p *Process) ReadU32(v arch.Virt) (uint32, error) {
-	var b [4]byte
-	if err := p.Read(v, b[:]); err != nil {
-		return 0, err
-	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
+// deadErr is the error every access to a dead process fails with.
+func (p *Process) deadErr() error {
+	return fmt.Errorf("hostos: access in dead process %q", p.name)
 }
 
-// WriteU32 writes a 32-bit word to process memory.
+// wordOnPage reports whether the 4-byte word at v lies inside one page.
+func wordOnPage(v arch.Virt) bool { return v.Offset() <= arch.PageSize-4 }
+
+// ReadU32 reads a 32-bit word from process memory. A word inside one page
+// is translated once and read straight from its frame; one that straddles
+// two pages takes the chunked path of Read. Both check, fault and fail
+// exactly as Read does.
+func (p *Process) ReadU32(v arch.Virt) (uint32, error) {
+	if !wordOnPage(v) {
+		var b [4]byte
+		if err := p.Read(v, b[:]); err != nil {
+			return 0, err
+		}
+		return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
+	}
+	if p.dead {
+		return 0, p.deadErr()
+	}
+	pa, err := p.Translate(v, arch.Read)
+	if err != nil {
+		return 0, err
+	}
+	return p.os.store.ReadU32(pa), nil
+}
+
+// WriteU32 writes a 32-bit word to process memory, taking the same direct
+// path as ReadU32 when the word lies inside one page (copy-on-write
+// resolved by the translation, as in Write).
 func (p *Process) WriteU32(v arch.Virt, x uint32) error {
-	b := [4]byte{byte(x), byte(x >> 8), byte(x >> 16), byte(x >> 24)}
-	return p.Write(v, b[:])
+	if !wordOnPage(v) {
+		b := [4]byte{byte(x), byte(x >> 8), byte(x >> 16), byte(x >> 24)}
+		return p.Write(v, b[:])
+	}
+	if p.dead {
+		return p.deadErr()
+	}
+	pa, err := p.Translate(v, arch.Write)
+	if err != nil {
+		return err
+	}
+	p.os.store.WriteU32(pa, x)
+	return nil
 }
 
 // Mapped reports whether vpn is currently mapped (already faulted in).

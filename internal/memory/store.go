@@ -121,15 +121,27 @@ func (s *Store) WriteU64(a arch.Phys, v uint64) {
 	s.Write(a, buf[:])
 }
 
-// ReadU32 reads a little-endian 32-bit word at a.
+// ReadU32 reads a little-endian 32-bit word at a. A word inside one page
+// is read straight from the page.
 func (s *Store) ReadU32(a arch.Phys) uint32 {
+	if off := a.Offset(); off <= arch.PageSize-4 && s.Contains(a, 4) {
+		if pg := s.page(a.PageOf()); pg != nil {
+			return binary.LittleEndian.Uint32(pg[off:])
+		}
+		return 0
+	}
 	var buf [4]byte
 	s.ReadInto(a, buf[:])
 	return binary.LittleEndian.Uint32(buf[:])
 }
 
-// WriteU32 writes a little-endian 32-bit word at a.
+// WriteU32 writes a little-endian 32-bit word at a. A word inside one page
+// is written straight into the page.
 func (s *Store) WriteU32(a arch.Phys, v uint32) {
+	if off := a.Offset(); off <= arch.PageSize-4 && s.Contains(a, 4) {
+		binary.LittleEndian.PutUint32(s.pageForWrite(a.PageOf())[off:], v)
+		return
+	}
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], v)
 	s.Write(a, buf[:])

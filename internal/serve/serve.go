@@ -18,6 +18,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -61,6 +62,10 @@ type Options struct {
 	// the build's VCS revision).
 	Version string
 }
+
+// MaxRequestBytes bounds a job submission's body. A spec is a few hundred
+// bytes; a larger body is refused with 413 before it is decoded.
+const MaxRequestBytes = 1 << 20
 
 // Job states.
 const (
@@ -575,7 +580,13 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+				return
+			}
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -248,5 +249,33 @@ func TestServeRunJob(t *testing.T) {
 		if !strings.Contains(art, want) {
 			t.Errorf("run artifact missing %q:\n%s", want, art)
 		}
+	}
+}
+
+// TestSubmitRejectsOversizedBody: a submission body past MaxRequestBytes is
+// refused with 413 before it is decoded, and the daemon keeps serving: a
+// normal submission right after it is accepted and completes.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	_, c := startTestServer(t, Options{Version: "test"})
+	ctx := context.Background()
+	body := `{"type":"sweep","pad":"` + strings.Repeat("x", MaxRequestBytes) + `"}`
+	resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submission: status %d, want 413", resp.StatusCode)
+	}
+	st, err := c.Submit(ctx, tinySweepRequest())
+	if err != nil {
+		t.Fatalf("submission after the oversized one: %v", err)
+	}
+	final, err := c.Stream(ctx, st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone {
+		t.Fatalf("job after the oversized submission ended %s (%s)", final.State, final.Error)
 	}
 }

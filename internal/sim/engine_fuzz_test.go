@@ -2,10 +2,12 @@ package sim
 
 import "testing"
 
-// FuzzEngineSchedule differentially fuzzes the 4-ary indexed heap against
+// FuzzEngineSchedule differentially fuzzes the radix event queue against
 // the container/heap reference in heapref_test.go: any byte script is a
-// schedule (events spawning events at tiny deltas, heavy on same-timestamp
-// collisions), and the two engines must fire it in the identical order.
+// schedule (events spawning events at tiny or wide deltas, heavy on
+// same-timestamp collisions, interleaved with bounded runs that peek and
+// schedule before the next event), and the two engines must fire it in the
+// identical order.
 // Extend the corpus by dropping files under testdata/fuzz/FuzzEngineSchedule
 // or running `go test -fuzz FuzzEngineSchedule ./internal/sim` and
 // committing what it minimizes into the same directory.

@@ -3,7 +3,7 @@ package sim
 // Sharded conservative-PDES execution: one simulated run, many cores.
 //
 // A ShardedEngine partitions a simulation into shard-local Engines — each
-// keeping the pooled 4-ary indexed heap and its own (at, seq) total order —
+// keeping the pooled radix queue and its own (at, seq) total order —
 // connected only by timestamped cross-shard messages (Engine.Send). Shards
 // synchronize conservatively: messages must land at least the lookahead
 // window past the sender's clock, so within any window of width lookahead
@@ -17,7 +17,7 @@ package sim
 // Determinism: shard-local execution is sequential, so each shard's
 // (at, seq) order is exactly the serial engine's; messages generated during
 // a window are merged at the barrier in canonical (at, sender shard, sender
-// sequence) order before delivery, so destination sequence numbers — and
+// sequence) order before delivery, so destination schedule order — and
 // therefore every downstream artifact — are independent of how many worker
 // goroutines executed the window. Workers only changes wall-clock time,
 // never a single simulated outcome.
@@ -142,7 +142,7 @@ func (s *ShardedEngine) Fired() uint64 {
 func (s *ShardedEngine) Pending() int {
 	n := 0
 	for _, e := range s.shards {
-		n += len(e.heap) + len(e.outbox)
+		n += e.pending + len(e.outbox)
 	}
 	return n
 }
@@ -188,10 +188,7 @@ func (s *ShardedEngine) nextEventTime() (Time, bool) {
 	var min Time
 	ok := false
 	for _, e := range s.shards {
-		if len(e.heap) == 0 {
-			continue
-		}
-		if t := e.slots[e.heap[0]].at; !ok || t < min {
+		if t, has := e.next(); has && (!ok || t < min) {
 			min, ok = t, true
 		}
 	}
@@ -226,7 +223,7 @@ func (s *ShardedEngine) Run() Time {
 func (s *ShardedEngine) runWindow(horizon Time) {
 	s.runnable = s.runnable[:0]
 	for i, e := range s.shards {
-		if len(e.heap) > 0 && e.slots[e.heap[0]].at < horizon {
+		if t, ok := e.next(); ok && t < horizon {
 			s.runnable = append(s.runnable, int32(i))
 		}
 	}
@@ -264,7 +261,7 @@ func (s *ShardedEngine) runWindow(horizon Time) {
 // deliver merges every shard's outbox in canonical (at, sender, sender
 // sequence) order and schedules the messages into their destination
 // shards. The order is a pure function of simulated state, so destination
-// sequence numbering is identical at any worker count.
+// schedule order is identical at any worker count.
 func (s *ShardedEngine) deliver() {
 	s.msgs = s.msgs[:0]
 	for _, e := range s.shards {
@@ -376,7 +373,10 @@ func (e *Engine) SendAfter(to ShardID, d Time, cb EventFunc, arg uint64) {
 // window boundaries sliced it.
 func (e *Engine) runWindow(limit Time) uint64 {
 	var n uint64
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at < limit {
+	for {
+		if t, ok := e.next(); !ok || t >= limit {
+			break
+		}
 		if e.fired%interruptStride == 0 && e.interrupted() {
 			break
 		}

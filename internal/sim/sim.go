@@ -6,18 +6,19 @@
 // domain's cycles and picoseconds.
 //
 // Determinism: events at the same timestamp fire in the order they were
-// scheduled (FIFO by sequence number), so a run is a pure function of its
-// inputs.
+// scheduled (FIFO), so a run is a pure function of its inputs.
 //
-// The event queue is engineered for the hot path: an inlined 4-ary min-heap
-// of int32 indexes into a flat slot arena, with freed slots recycled through
-// a free list. Steady-state scheduling and firing allocates nothing — see
-// DESIGN.md §10 for the layout and the determinism argument.
+// The event queue is engineered for the hot path: a radix queue over the
+// monotone event times, holding int32 indexes into a flat slot arena whose
+// freed slots are recycled through a free list. Steady-state scheduling and
+// firing allocates nothing — see DESIGN.md §10 for the layout and the
+// determinism argument.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"bordercontrol/internal/stats"
 	"bordercontrol/internal/trace"
@@ -88,7 +89,6 @@ type EventFunc func(now Time, arg uint64)
 // the pre-bound form (ScheduleInto).
 type event struct {
 	at  Time
-	seq uint64
 	fn  func()
 	cb  EventFunc
 	arg uint64
@@ -97,15 +97,26 @@ type event struct {
 // Engine is a discrete-event simulator. The zero Engine is ready to use.
 type Engine struct {
 	now   Time
-	seq   uint64
 	fired uint64
 
-	// The pending-event queue: heap is a 4-ary min-heap of indexes into the
-	// slots arena, ordered by (at, seq); free recycles retired slot indexes
-	// LIFO so the arena stops growing once the in-flight population peaks.
-	slots []event
-	heap  []int32
-	free  []int32
+	// The pending-event queue: a radix queue of indexes into the slots
+	// arena. free recycles retired slot indexes LIFO so the arena stops
+	// growing once the in-flight population peaks.
+	//
+	// Times never decrease (nothing is scheduled before now), so the queue
+	// keys every pending event by how far it lies from base, the time of
+	// the latest refill: buckets[b], b > 0, holds the events whose time
+	// first differs from base at bit b-1, and buckets[0] holds the events
+	// at exactly base, from head on, in schedule order. Every bucket is in
+	// schedule order (see refill), so pops come out in (time, schedule
+	// order) — DESIGN.md §10.
+	slots    []event
+	free     []int32
+	base     Time
+	buckets  [65][]int32
+	head     int    // next entry of buckets[0] to pop
+	nonempty uint64 // bit b-1 set iff buckets[b] holds an event
+	pending  int
 
 	// Interrupt, when non-nil, is polled by Run every interruptStride
 	// events; when it reports true, Run stops between events with the
@@ -122,8 +133,8 @@ type Engine struct {
 	// depthHist distributes the pending-queue depth, sampled on a fixed
 	// simulated-time cadence (depthCadence). The sample is taken inside
 	// Step — no sampler event is ever scheduled, so the event count, the
-	// sequence numbering, and every artifact derived from them are
-	// identical with or without anyone reading the histogram.
+	// schedule order, and every artifact derived from them are identical
+	// with or without anyone reading the histogram.
 	depthHist stats.Histogram
 	nextDepth Time
 
@@ -152,7 +163,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns how many events are scheduled but not yet executed.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.pending }
 
 // alloc returns a free slot index, growing the arena only when no retired
 // slot is available.
@@ -166,61 +177,60 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// siftUp restores heap order after an append at position i. The hole
-// technique: hold the new index in a register and slide parents down.
-func (e *Engine) siftUp(i int) {
-	h := e.heap
-	idx := h[i]
-	at, seq := e.slots[idx].at, e.slots[idx].seq
-	for i > 0 {
-		p := (i - 1) >> 2
-		ps := &e.slots[h[p]]
-		if ps.at < at || (ps.at == at && ps.seq < seq) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+// push files slot idx, due at t, into its bucket. Equal times always share
+// a bucket and a new event is appended after every pending one, so each
+// bucket stays in schedule order.
+func (e *Engine) push(idx int32, t Time) {
+	b := bits.Len64(uint64(t ^ e.base))
+	e.buckets[b] = append(e.buckets[b], idx)
+	if b > 0 {
+		e.nonempty |= 1 << (b - 1)
 	}
-	h[i] = idx
+	e.pending++
 }
 
-// siftDown re-inserts index idx starting from the root after a pop.
-func (e *Engine) siftDown(idx int32) {
-	h := e.heap
-	n := len(h)
-	at, seq := e.slots[idx].at, e.slots[idx].seq
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
+// refill empties the lowest non-empty bucket into the lower ones, re-based
+// on its earliest time. It runs only while bucket 0 is empty, and every
+// bucket below the source is empty too, so each destination receives a
+// subsequence of the source in its order: buckets stay in schedule order.
+// An event only ever moves to a lower bucket, so it moves at most 64 times.
+func (e *Engine) refill() {
+	b := bits.TrailingZeros64(e.nonempty) + 1
+	src := e.buckets[b]
+	e.base = e.earliest(src)
+	for _, idx := range src {
+		nb := bits.Len64(uint64(e.slots[idx].at ^ e.base))
+		e.buckets[nb] = append(e.buckets[nb], idx)
+		if nb > 0 {
+			e.nonempty |= 1 << (nb - 1)
 		}
-		// Pick the least of up to four children.
-		m := c
-		ms := &e.slots[h[c]]
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			js := &e.slots[h[j]]
-			if js.at < ms.at || (js.at == ms.at && js.seq < ms.seq) {
-				m, ms = j, js
-			}
-		}
-		if at < ms.at || (at == ms.at && seq < ms.seq) {
-			break
-		}
-		h[i] = h[m]
-		i = m
 	}
-	h[i] = idx
+	e.buckets[b] = src[:0]
+	e.nonempty &^= 1 << (b - 1)
 }
 
-// schedule files slot idx (whose at/seq are already set) into the heap.
-func (e *Engine) schedule(idx int32) {
-	e.heap = append(e.heap, idx)
-	e.siftUp(len(e.heap) - 1)
+// earliest returns the least time among the slots of a non-empty bucket.
+func (e *Engine) earliest(bucket []int32) Time {
+	t := e.slots[bucket[0]].at
+	for _, idx := range bucket[1:] {
+		if at := e.slots[idx].at; at < t {
+			t = at
+		}
+	}
+	return t
+}
+
+// next returns the time of the next pending event. It only reads the
+// queue: a peek that refilled would move base up to the head's time, and a
+// cross-shard message may still be scheduled between now and that head.
+func (e *Engine) next() (Time, bool) {
+	if e.head < len(e.buckets[0]) {
+		return e.base, true
+	}
+	if e.nonempty == 0 {
+		return 0, false
+	}
+	return e.earliest(e.buckets[bits.TrailingZeros64(e.nonempty)+1]), true
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -236,11 +246,10 @@ func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: scheduling nil event")
 	}
-	e.seq++
 	idx := e.alloc()
 	s := &e.slots[idx]
-	s.at, s.seq, s.fn, s.cb, s.arg = t, e.seq, fn, nil, 0
-	e.schedule(idx)
+	s.at, s.fn, s.cb, s.arg = t, fn, nil, 0
+	e.push(idx, t)
 }
 
 // After schedules fn to run d picoseconds from now.
@@ -250,7 +259,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // t with payload arg. It is the allocation-free form of At: cb should be a
 // long-lived func value (a field bound at component construction), with all
 // per-event state packed into arg or reachable from cb's receiver. Ordering
-// is identical to At — the two forms share one sequence counter.
+// is identical to At — the two forms share one queue.
 func (e *Engine) ScheduleInto(t Time, cb EventFunc, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
@@ -258,11 +267,10 @@ func (e *Engine) ScheduleInto(t Time, cb EventFunc, arg uint64) {
 	if cb == nil {
 		panic("sim: scheduling nil event")
 	}
-	e.seq++
 	idx := e.alloc()
 	s := &e.slots[idx]
-	s.at, s.seq, s.fn, s.cb, s.arg = t, e.seq, nil, cb, arg
-	e.schedule(idx)
+	s.at, s.fn, s.cb, s.arg = t, nil, cb, arg
+	e.push(idx, t)
 }
 
 // ScheduleIntoAfter is ScheduleInto at d picoseconds from now.
@@ -272,17 +280,26 @@ func (e *Engine) ScheduleIntoAfter(d Time, cb EventFunc, arg uint64) {
 
 // Step executes the single next event. It reports false if no events remain.
 func (e *Engine) Step() bool {
-	h := e.heap
-	n := len(h)
-	if n == 0 {
+	if e.pending == 0 {
 		return false
 	}
-	idx := h[0]
-	last := h[n-1]
-	e.heap = h[:n-1]
-	if n > 1 {
-		e.siftDown(last)
+	if e.head == len(e.buckets[0]) {
+		e.refill()
 	}
+	b0 := e.buckets[0]
+	idx := b0[e.head]
+	e.head++
+	switch {
+	case e.head == len(b0):
+		// Drained: reclaim it, so a chain of events at one time reuses
+		// the same few entries.
+		e.buckets[0], e.head = b0[:0], 0
+	case e.head >= 32 && 2*e.head >= len(b0):
+		// Events at this time keep scheduling more at it: drop the popped
+		// prefix, so the bucket stays bounded by the pending population.
+		e.buckets[0], e.head = b0[:copy(b0, b0[e.head:])], 0
+	}
+	e.pending--
 	s := &e.slots[idx]
 	e.now = s.at
 	e.fired++
@@ -290,7 +307,7 @@ func (e *Engine) Step() bool {
 		// One sample per elapsed cadence window, stamped at the first event
 		// that crosses the boundary. Depth here still includes this event's
 		// successors only — it was already popped above.
-		e.depthHist.Record(uint64(len(e.heap)))
+		e.depthHist.Record(uint64(e.pending))
 		e.nextDepth = e.now + depthCadence
 	}
 	fn, cb, arg := s.fn, s.cb, s.arg
@@ -318,7 +335,7 @@ func (e *Engine) Run() Time {
 				break
 			}
 			if e.Tracer != nil {
-				e.Tracer.Counter("engine", "pending_events", uint64(e.now), float64(len(e.heap)))
+				e.Tracer.Counter("engine", "pending_events", uint64(e.now), float64(e.pending))
 			}
 		}
 		if !e.Step() {
@@ -344,7 +361,10 @@ func (e *Engine) RegisterMetrics(s stats.Scope) {
 // long bounded run.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	var n uint64
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= deadline {
+	for {
+		if t, ok := e.next(); !ok || t > deadline {
+			break
+		}
 		if e.fired%interruptStride == 0 && e.interrupted() {
 			break
 		}

@@ -76,25 +76,29 @@ func (t *TLB) Lookup(asid arch.ASID, vpn arch.VPN) (Entry, bool) {
 }
 
 // Insert caches a translation, evicting the set's LRU entry if needed.
-// Inserting an existing (asid, vpn) pair replaces it.
+// Inserting an existing (asid, vpn) pair replaces it, wherever in the set it
+// sits, so a set never holds two entries for one pair.
 func (t *TLB) Insert(e Entry) {
 	set := t.set(e.VPN)
 	t.tick++
-	victim := 0
+	victim, free := 0, -1
 	for i := range set {
 		w := &set[i]
-		if w.valid && w.e.ASID == e.ASID && w.e.VPN == e.VPN {
+		switch {
+		case !w.valid:
+			if free < 0 {
+				free = i
+			}
+		case w.e.ASID == e.ASID && w.e.VPN == e.VPN:
 			w.e = e
 			w.lru = t.tick
 			return
-		}
-		if !w.valid {
-			victim = i
-			break
-		}
-		if w.lru < set[victim].lru {
+		case w.lru < set[victim].lru:
 			victim = i
 		}
+	}
+	if free >= 0 {
+		victim = free
 	}
 	set[victim] = way{valid: true, lru: t.tick, e: e}
 }

@@ -187,3 +187,25 @@ func TestAgainstReferenceModel(t *testing.T) {
 		}
 	}
 }
+
+// TestReinsertAfterHoleLeavesNoDuplicate: an invalidation leaves a free way
+// ahead of a valid entry. Re-inserting that entry must refresh it, not file
+// a second copy in the hole — otherwise the next invalidation removes one
+// copy and the shootdown leaves a stale translation behind.
+func TestReinsertAfterHoleLeavesNoDuplicate(t *testing.T) {
+	tb := mustTLB(t, 4, 4)
+	tb.Insert(Entry{ASID: 1, VPN: 10, PPN: 100})
+	tb.Insert(Entry{ASID: 1, VPN: 11, PPN: 110})
+	tb.Invalidate(1, 10)
+	tb.Insert(Entry{ASID: 1, VPN: 11, PPN: 111})
+	if n := tb.Valid(); n != 1 {
+		t.Errorf("%d valid entries after re-inserting VPN 11, want 1", n)
+	}
+	if e, ok := tb.Lookup(1, 11); !ok || e.PPN != 111 {
+		t.Errorf("lookup of VPN 11 = %+v, %v; want the refreshed PPN 111", e, ok)
+	}
+	tb.Invalidate(1, 11)
+	if _, ok := tb.Lookup(1, 11); ok {
+		t.Error("VPN 11 still hits after its invalidation: a duplicate survived")
+	}
+}

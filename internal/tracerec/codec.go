@@ -81,8 +81,11 @@ func (e *enc) str(s string) {
 }
 
 // Encode serializes t. It validates the trace shape (op sizes must fit the
-// flag byte, write payloads must match their op size, access kinds must be
-// read or write) and fails rather than emit an undecodable file.
+// flag byte, payloads must lie inside their phase's arena, access kinds
+// must be read or write) and fails rather than emit an undecodable file.
+// Only the payload bytes are written, not where they sit in the arena, so
+// two traces with the same ops and payloads encode identically however
+// their arenas are laid out.
 func Encode(t *Trace) ([]byte, error) {
 	e := &enc{}
 	e.str(t.Workload)
@@ -126,7 +129,8 @@ func Encode(t *Trace) ([]byte, error) {
 			for _, tr := range ph.Traces {
 				e.uvarint(uint64(len(tr)))
 				prevAddr := int64(0)
-				for _, op := range tr {
+				for i := range tr {
+					op := &tr[i]
 					flag := byte(op.Size)
 					if op.Size > flagSizeMax {
 						e.fail("op size %d exceeds %d", op.Size, flagSizeMax)
@@ -138,9 +142,12 @@ func Encode(t *Trace) ([]byte, error) {
 					default:
 						e.fail("op kind %v", op.Kind)
 					}
-					if op.Data != nil {
-						if len(op.Data) != int(op.Size) {
-							e.fail("op payload of %d bytes on a %d-byte op", len(op.Data), op.Size)
+					var payload []byte
+					if op.Payload != 0 {
+						if end := uint64(op.Payload-1) + uint64(op.Size); end > uint64(len(ph.Data)) {
+							e.fail("op payload ends at byte %d of a %d-byte arena", end, len(ph.Data))
+						} else {
+							payload = op.PayloadIn(ph.Data)
 						}
 						flag |= flagPayload
 					}
@@ -148,7 +155,7 @@ func Encode(t *Trace) ([]byte, error) {
 					e.uvarint(uint64(op.Compute))
 					e.svarint(int64(op.Addr) - prevAddr)
 					prevAddr = int64(op.Addr)
-					e.buf = append(e.buf, op.Data...)
+					e.buf = append(e.buf, payload...)
 				}
 			}
 		}
@@ -376,7 +383,11 @@ func Decode(blob []byte) (t *Trace, err error) {
 					}
 					op.Addr = arch.Virt(prevAddr)
 					if flag&flagPayload != 0 {
-						op.Data = d.bytes(int(op.Size), "op payload")
+						var ok bool
+						if op.Payload, ok = accel.PayloadAt(len(ph.Data)); !ok {
+							d.fail("phase payload arena exceeds %d bytes", accel.MaxPayloadOffset)
+						}
+						ph.Data = append(ph.Data, d.bytes(int(op.Size), "op payload")...)
 					}
 					tr = append(tr, op)
 				}

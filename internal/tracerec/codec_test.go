@@ -34,11 +34,11 @@ func sampleTrace() *Trace {
 					{Name: "k1", Traces: []accel.Trace{
 						{
 							{Kind: arch.Read, Size: 32, Addr: 0x1000_0000, Compute: 7},
-							{Kind: arch.Write, Size: 8, Addr: 0x1000_0020, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+							{Kind: arch.Write, Size: 8, Addr: 0x1000_0020, Payload: 1},
 							{Kind: arch.Write, Size: 4, Addr: 0x1000_0010}, // zero-fill store, no payload
 						},
 						{{Kind: arch.Read, Size: 16, Addr: 0x1040_0000, Compute: 65535}},
-					}},
+					}, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
 					{Name: "k2", Traces: []accel.Trace{{}}},
 				},
 				Probes: []Probe{
@@ -121,8 +121,8 @@ func TestEncodeRejectsMalformed(t *testing.T) {
 	bad := map[string]*Trace{
 		"oversized op": {Segments: []Segment{{Phases: []accel.Phase{{Traces: []accel.Trace{
 			{{Size: 64}}}}}}}},
-		"payload size mismatch": {Segments: []Segment{{Phases: []accel.Phase{{Traces: []accel.Trace{
-			{{Kind: arch.Write, Size: 8, Data: []byte{1}}}}}}}}},
+		"payload outside its arena": {Segments: []Segment{{Phases: []accel.Phase{{Traces: []accel.Trace{
+			{{Kind: arch.Write, Size: 8, Payload: 1}}}, Data: []byte{1}}}}}},
 		"bad probe kind": {Segments: []Segment{{Probes: []Probe{{Kind: 7}}}}},
 		"oversized image page": {Segments: []Segment{{Image: []Page{
 			{VPN: 1, Data: make([]byte, arch.PageSize+1)}}}}},

@@ -32,6 +32,7 @@
 package tracerec
 
 import (
+	"bytes"
 	"fmt"
 
 	"bordercontrol/internal/accel"
@@ -236,6 +237,9 @@ func BuildSegment(proc *hostos.Process, seg *Segment) (*accel.Program, error) {
 	return prog, nil
 }
 
+// zeroPage is the all-zero tail every recorded image page implies.
+var zeroPage [arch.PageSize]byte
+
 // verifyImage compares final process memory against the recorded image.
 // The timed run re-applies the recorded store payloads over the restored
 // image, so a correct replay ends exactly where the build ended.
@@ -245,6 +249,11 @@ func verifyImage(p *hostos.Process, image []Page) error {
 		if err != nil {
 			return err
 		}
+		n := min(len(pg.Data), len(got))
+		if bytes.Equal(got[:n], pg.Data[:n]) && bytes.Equal(got[n:], zeroPage[:len(got)-n]) {
+			continue
+		}
+		// A mismatch: name its first differing byte.
 		for i := range got {
 			var want byte
 			if i < len(pg.Data) {

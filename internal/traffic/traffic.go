@@ -199,10 +199,7 @@ func genChurn(cfg Config) *tracerec.Trace {
 			Mmaps:  l.mmaps,
 			Faults: l.faults(),
 		}
-		seg.Phases = []accel.Phase{{
-			Name:   "touch",
-			Traces: genTraces(cfg.Seed, uint64(i), nwf, nops, base, span, 3),
-		}}
+		seg.Phases = []accel.Phase{genPhase("touch", cfg.Seed, uint64(i), nwf, nops, base, span, 3)}
 		segs[i] = seg
 	})
 	return &tracerec.Trace{Workload: Churn, Scale: nseg, Segments: segs}
@@ -218,9 +215,11 @@ func genBursty(cfg Config) *tracerec.Trace {
 	base := l.mmap(pages*arch.PageSize, arch.PermRW, false)
 	span := uint64(pages * arch.PageSize)
 	traces := make([]accel.Trace, nwf)
+	bufs := make([][]byte, nwf)
 	forEachIndex(nwf, cfg.Workers, func(w int) {
 		r := newRNG(cfg.Seed, 0, uint64(w))
 		tr := make(accel.Trace, 0, nops)
+		var buf []byte
 		addr := base + arch.Virt(uint64(r.next())%span)&^31
 		write := w%2 == 1
 		for len(tr) < nops {
@@ -233,7 +232,8 @@ func genBursty(cfg Config) *tracerec.Trace {
 				}
 				if write {
 					op.Kind = arch.Write
-					op.Data = payload(r, 32)
+					op.Payload = payloadRef(len(buf))
+					buf = appendPayload(buf, r, 32)
 				}
 				tr = append(tr, op)
 				addr += 32
@@ -243,13 +243,13 @@ func genBursty(cfg Config) *tracerec.Trace {
 			}
 			write = !write
 		}
-		traces[w] = tr
+		traces[w], bufs[w] = tr, buf
 	})
 	seg := tracerec.Segment{
 		Name:   "bursty-dma",
 		Mmaps:  l.mmaps,
 		Faults: l.faults(),
-		Phases: []accel.Phase{{Name: "dma", Traces: traces}},
+		Phases: []accel.Phase{{Name: "dma", Traces: traces, Data: joinPayloads(traces, bufs)}},
 	}
 	return &tracerec.Trace{Workload: Bursty, Scale: 1, Segments: []tracerec.Segment{seg}}
 }
@@ -264,22 +264,22 @@ func genStream(cfg Config) *tracerec.Trace {
 	weights := l.mmap(arch.HugePageSize, arch.PermRead, true)
 	acts := l.mmap(8*arch.PageSize, arch.PermRW, false)
 	traces := make([]accel.Trace, nwf)
+	bufs := make([][]byte, nwf)
 	forEachIndex(nwf, cfg.Workers, func(w int) {
 		r := newRNG(cfg.Seed, 1, uint64(w))
 		// Each wavefront owns a disjoint stripe of the weights.
 		stripe := uint64(arch.HugePageSize) / uint64(nwf) &^ 31
 		addr := weights + arch.Virt(uint64(w)*stripe)
 		tr := make(accel.Trace, 0, nops)
+		var buf []byte
 		for i := 0; i < nops; i++ {
 			if i%16 == 15 {
-				// Accumulate an activation.
-				tr = append(tr, accel.Op{
-					Kind:    arch.Write,
-					Size:    16,
-					Addr:    acts + arch.Virt(uint64(w*64+r.intn(4)*16)),
-					Data:    payload(r, 16),
-					Compute: uint16(200 + r.intn(100)),
-				})
+				// Accumulate an activation. The draws go address,
+				// payload, compute.
+				act := acts + arch.Virt(uint64(w*64+r.intn(4)*16))
+				ref := payloadRef(len(buf))
+				buf = appendPayload(buf, r, 16)
+				tr = append(tr, accel.Op{Kind: arch.Write, Size: 16, Addr: act, Payload: ref, Compute: uint16(200 + r.intn(100))})
 				continue
 			}
 			tr = append(tr, accel.Op{Size: 32, Addr: addr, Compute: uint16(10 + r.intn(20))})
@@ -288,13 +288,13 @@ func genStream(cfg Config) *tracerec.Trace {
 				addr = weights + arch.Virt(uint64(w)*stripe)
 			}
 		}
-		traces[w] = tr
+		traces[w], bufs[w] = tr, buf
 	})
 	seg := tracerec.Segment{
 		Name:   "stream-infer",
 		Mmaps:  l.mmaps,
 		Faults: l.faults(),
-		Phases: []accel.Phase{{Name: "decode", Traces: traces}},
+		Phases: []accel.Phase{{Name: "decode", Traces: traces, Data: joinPayloads(traces, bufs)}},
 	}
 	return &tracerec.Trace{Workload: Stream, Scale: 1, Segments: []tracerec.Segment{seg}}
 }
@@ -319,10 +319,7 @@ func genMix(cfg Config) *tracerec.Trace {
 			Name:   fmt.Sprintf("mix-%04d", i),
 			Mmaps:  l.mmaps,
 			Faults: l.faults(),
-			Phases: []accel.Phase{{
-				Name:   "benign",
-				Traces: genTraces(cfg.Seed, uint64(0x1000+i), nwf, nops, base, span, 4),
-			}},
+			Phases: []accel.Phase{genPhase("benign", cfg.Seed, uint64(0x1000+i), nwf, nops, base, span, 4)},
 		}
 		// A handful of probes spread across the expected run window,
 		// aimed at physical addresses the segment was never granted.
@@ -343,13 +340,13 @@ func genMix(cfg Config) *tracerec.Trace {
 	return &tracerec.Trace{Workload: Mix, Scale: nseg, Segments: segs}
 }
 
-// genTraces builds nwf wavefronts of mixed random-access traffic within
-// [base, base+span), each from its own (seed, segment, wavefront) stream.
-// One in writeRatio ops is a store carrying payload bytes.
-func genTraces(seed, segIdx uint64, nwf, nops int, base arch.Virt, span uint64, writeRatio int) []accel.Trace {
+// genPhase builds a phase of nwf wavefronts of mixed random-access traffic
+// within [base, base+span), each from its own (seed, segment, wavefront)
+// stream. One in writeRatio ops is a store carrying payload bytes.
+func genPhase(name string, seed, segIdx uint64, nwf, nops int, base arch.Virt, span uint64, writeRatio int) accel.Phase {
 	sizes := []uint8{4, 8, 16, 32}
-	traces := make([]accel.Trace, nwf)
-	for w := range traces {
+	ph := accel.Phase{Name: name, Traces: make([]accel.Trace, nwf)}
+	for w := range ph.Traces {
 		r := newRNG(seed, segIdx, uint64(w)+0x10000)
 		tr := make(accel.Trace, 0, nops)
 		for i := 0; i < nops; i++ {
@@ -358,22 +355,57 @@ func genTraces(seed, segIdx uint64, nwf, nops int, base arch.Virt, span uint64, 
 			op := accel.Op{Size: size, Addr: addr, Compute: uint16(r.intn(400))}
 			if r.intn(writeRatio) == 0 {
 				op.Kind = arch.Write
-				op.Data = payload(r, int(size))
+				op.Payload = payloadRef(len(ph.Data))
+				ph.Data = appendPayload(ph.Data, r, int(size))
 			}
 			tr = append(tr, op)
 		}
-		traces[w] = tr
+		ph.Traces[w] = tr
 	}
-	return traces
+	return ph
 }
 
-func payload(r *rng, n int) []byte {
-	b := make([]byte, n)
+// appendPayload appends n payload bytes drawn from r to buf.
+func appendPayload(buf []byte, r *rng, n int) []byte {
 	for i := 0; i < n; i += 8 {
 		v := r.next()
 		for j := 0; j < 8 && i+j < n; j++ {
-			b[i+j] = byte(v >> (8 * j))
+			buf = append(buf, byte(v>>(8*j)))
 		}
 	}
-	return b
+	return buf
+}
+
+// payloadRef is accel.PayloadAt for arenas a generator builds: far too
+// small to overflow, so overflow is a bug.
+func payloadRef(off int) uint32 {
+	ref, ok := accel.PayloadAt(off)
+	if !ok {
+		panic(fmt.Sprintf("traffic: payload arena offset %d overflows accel.Op", off))
+	}
+	return ref
+}
+
+// joinPayloads concatenates the wavefronts' payload buffers, in wavefront
+// order, into one phase arena and re-bases each trace's payload references
+// onto it. Wavefront w's ops locate their payloads within bufs[w].
+func joinPayloads(traces []accel.Trace, bufs [][]byte) []byte {
+	n := 0
+	for _, b := range bufs {
+		n += len(b)
+	}
+	if n > 0 {
+		payloadRef(n - 1) // every payload starts below n
+	}
+	data := make([]byte, 0, n)
+	for w, b := range bufs {
+		base := uint32(len(data))
+		for i := range traces[w] {
+			if traces[w][i].Payload != 0 {
+				traces[w][i].Payload += base
+			}
+		}
+		data = append(data, b...)
+	}
+	return data
 }

@@ -12,6 +12,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -164,8 +165,10 @@ func (a i32) set(i int, v int32) {
 	check(a.p.WriteU32(a.addr(i), uint32(v)))
 }
 
-// wf records one wavefront's trace while the algorithm executes.
+// wf records one wavefront's trace while the algorithm executes. Store
+// payloads go straight into its phase's arena.
 type wf struct {
+	ph      *phase
 	ops     accel.Trace
 	pending uint32 // compute cycles to attach to the next op
 }
@@ -173,18 +176,19 @@ type wf struct {
 // compute queues c cycles of computation before the next access.
 func (w *wf) compute(c int) { w.pending += uint32(c) }
 
-func (w *wf) record(kind arch.AccessKind, addr arch.Virt, size int, data []byte) {
+// record appends one op; payload is its Op.Payload (0 for none).
+func (w *wf) record(kind arch.AccessKind, addr arch.Virt, size int, payload uint32) {
 	c := w.pending
 	if c > 0xffff {
 		c = 0xffff
 	}
 	w.pending = 0
 	w.ops = append(w.ops, accel.Op{
+		Addr:    addr,
+		Payload: payload,
 		Compute: uint16(c),
 		Kind:    kind,
 		Size:    uint8(size),
-		Addr:    addr,
-		Data:    data,
 	})
 }
 
@@ -197,33 +201,38 @@ const sectorBytes = 32
 
 // coalesce records one op per 32-byte sector overlapped by [addr,
 // addr+size), modelling the coalescing a GPU memory unit performs for a
-// wavefront's lanes. For stores, data holds the bytes of the whole range
-// (indexed from addr) so each op carries its exact payload — replay is then
-// byte-for-byte faithful even for in-place algorithms.
-func (w *wf) coalesce(kind arch.AccessKind, addr arch.Virt, size int, data []byte) {
+// wavefront's lanes. For stores, payload is the Op.Payload of the whole
+// range's bytes (indexed from addr) so each op carries its exact payload —
+// replay is then byte-for-byte faithful even for in-place algorithms.
+func (w *wf) coalesce(kind arch.AccessKind, addr arch.Virt, size int, payload uint32) {
 	end := addr + arch.Virt(size)
 	for a := addr; a < end; {
 		sectorEnd := arch.Virt(arch.AlignDown(uint64(a), sectorBytes) + sectorBytes)
 		if sectorEnd > end {
 			sectorEnd = end
 		}
-		n := int(sectorEnd - a)
-		var d []byte
-		if kind == arch.Write && data != nil {
-			off := int(a - addr)
-			d = data[off : off+n]
+		var ref uint32
+		if payload != 0 {
+			ref = payload + uint32(a-addr)
 		}
-		w.record(kind, a, n, d)
+		w.record(kind, a, int(sectorEnd-a), ref)
 		a = sectorEnd
 	}
 }
 
-// rangeBytes reads len bytes at v from process memory (the just-written
-// store payload).
-func rangeBytes(p *hostos.Process, v arch.Virt, n int) []byte {
-	buf := make([]byte, n)
-	check(p.Read(v, buf))
-	return buf
+// errArenaFull fails a generator whose phase holds more store payload than
+// an Op can locate.
+var errArenaFull = fmt.Errorf("phase payload arena exceeds %d bytes", accel.MaxPayloadOffset)
+
+// appendWord appends a 32-bit little-endian store payload to the phase's
+// arena and returns its Op.Payload.
+func (w *wf) appendWord(v uint32) uint32 {
+	ref, ok := accel.PayloadAt(len(w.ph.data))
+	if !ok {
+		check(errArenaFull)
+	}
+	w.ph.data = binary.LittleEndian.AppendUint32(w.ph.data, v)
+	return ref
 }
 
 // loadF32s functionally reads n floats starting at index i0 and records
@@ -233,45 +242,47 @@ func (w *wf) loadF32s(a f32, i0, n int) []float32 {
 	for i := 0; i < n; i++ {
 		out[i] = a.get(i0 + i)
 	}
-	w.coalesce(arch.Read, a.addr(i0), n*4, nil)
+	w.coalesce(arch.Read, a.addr(i0), n*4, 0)
 	return out
 }
 
 // storeF32s functionally writes vals starting at i0 and records coalesced
 // store ops carrying the stored bytes.
 func (w *wf) storeF32s(a f32, i0 int, vals []float32) {
+	var ref uint32
 	for i, v := range vals {
 		a.set(i0+i, v)
+		if r := w.appendWord(f32bits(v)); i == 0 {
+			ref = r
+		}
 	}
-	w.coalesce(arch.Write, a.addr(i0), len(vals)*4, rangeBytes(a.p, a.addr(i0), len(vals)*4))
+	w.coalesce(arch.Write, a.addr(i0), len(vals)*4, ref)
 }
 
 // loadF32 is a single, uncoalescable load (irregular access).
 func (w *wf) loadF32(a f32, i int) float32 {
 	v := a.get(i)
-	w.record(arch.Read, a.addr(i), 4, nil)
+	w.record(arch.Read, a.addr(i), 4, 0)
 	return v
 }
 
 // storeF32 is a single, uncoalescable store.
 func (w *wf) storeF32(a f32, i int, v float32) {
 	a.set(i, v)
-	b := f32bits(v)
-	w.record(arch.Write, a.addr(i), 4, []byte{byte(b), byte(b >> 8), byte(b >> 16), byte(b >> 24)})
+	w.record(arch.Write, a.addr(i), 4, w.appendWord(f32bits(v)))
 }
 
 // loadI32 is a single int load.
 func (w *wf) loadI32(a i32, i int) int32 {
 	v := a.get(i)
-	w.record(arch.Read, a.addr(i), 4, nil)
+	w.record(arch.Read, a.addr(i), 4, 0)
 	return v
 }
 
 // storeI32 is a single int store.
 func (w *wf) storeI32(a i32, i int, v int32) {
 	a.set(i, v)
-	b := uint32(v)
-	w.record(arch.Write, a.addr(i), 4, []byte{byte(b), byte(b >> 8), byte(b >> 16), byte(b >> 24)})
+	w.record(arch.Write, a.addr(i), 4, w.appendWord(uint32(v)))
 }
 
 // loadI32s reads n ints from i0 with coalesced ops.
@@ -280,34 +291,40 @@ func (w *wf) loadI32s(a i32, i0, n int) []int32 {
 	for i := 0; i < n; i++ {
 		out[i] = a.get(i0 + i)
 	}
-	w.coalesce(arch.Read, a.addr(i0), n*4, nil)
+	w.coalesce(arch.Read, a.addr(i0), n*4, 0)
 	return out
 }
 
 // storeI32s writes n ints from i0 with coalesced ops.
 func (w *wf) storeI32s(a i32, i0 int, vals []int32) {
+	var ref uint32
 	for i, v := range vals {
 		a.set(i0+i, v)
+		if r := w.appendWord(uint32(v)); i == 0 {
+			ref = r
+		}
 	}
-	w.coalesce(arch.Write, a.addr(i0), len(vals)*4, rangeBytes(a.p, a.addr(i0), len(vals)*4))
+	w.coalesce(arch.Write, a.addr(i0), len(vals)*4, ref)
 }
 
-// phase collects wavefront traces into an accel.Phase.
+// phase collects wavefront traces and their store payloads into an
+// accel.Phase.
 type phase struct {
 	name string
 	wfs  []*wf
+	data []byte // the payload arena
 }
 
 func newPhase(name string) *phase { return &phase{name: name} }
 
 func (ph *phase) wavefront() *wf {
-	w := &wf{}
+	w := &wf{ph: ph}
 	ph.wfs = append(ph.wfs, w)
 	return w
 }
 
 func (ph *phase) build() accel.Phase {
-	out := accel.Phase{Name: ph.name}
+	out := accel.Phase{Name: ph.name, Data: ph.data}
 	for _, w := range ph.wfs {
 		if len(w.ops) > 0 {
 			out.Traces = append(out.Traces, w.ops)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -100,13 +101,13 @@ func checkOps(t *testing.T, p *hostos.Process, prog *accel.Program) {
 				switch op.Kind {
 				case arch.Read:
 					reads++
-					if op.Data != nil {
+					if op.Payload != 0 {
 						t.Fatal("load carries data")
 					}
 				case arch.Write:
 					writes++
-					if len(op.Data) != int(op.Size) {
-						t.Fatalf("store payload %d bytes, size says %d", len(op.Data), op.Size)
+					if op.Payload == 0 || int(op.Payload-1)+int(op.Size) > len(ph.Data) {
+						t.Fatalf("store payload ref %d of %d bytes outside the %d-byte arena", op.Payload, op.Size, len(ph.Data))
 					}
 				}
 				// Every access must translate (the page was faulted during
@@ -200,7 +201,8 @@ func TestCoalescing(t *testing.T) {
 	// sector ops carrying the full payload.
 	p := newProc(t)
 	arr := allocF32(p, 64) // panics (genError) only if the process is broken
-	w := &wf{}
+	ph := newPhase("t")
+	w := ph.wavefront()
 	vals := make([]float32, 32)
 	for i := range vals {
 		vals[i] = float32(i)
@@ -210,9 +212,14 @@ func TestCoalescing(t *testing.T) {
 		t.Fatalf("coalesced into %d ops, want 4", len(w.ops))
 	}
 	total := 0
-	for _, op := range w.ops {
-		if op.Size != 32 || len(op.Data) != 32 {
-			t.Errorf("sector op size %d payload %d", op.Size, len(op.Data))
+	for i, op := range w.ops {
+		got := op.PayloadIn(ph.data)
+		want := make([]byte, 32)
+		if err := p.Read(op.Addr, want); err != nil {
+			t.Fatal(err)
+		}
+		if op.Size != 32 || !bytes.Equal(got, want) {
+			t.Errorf("sector op %d: size %d payload %v, memory holds %v", i, op.Size, got, want)
 		}
 		total += int(op.Size)
 	}
@@ -220,7 +227,7 @@ func TestCoalescing(t *testing.T) {
 		t.Errorf("coverage %d bytes, want 128", total)
 	}
 	// Compute cycles attach to the first op only.
-	w2 := &wf{}
+	w2 := ph.wavefront()
 	w2.compute(10)
 	w2.loadF32s(arr, 0, 32)
 	if w2.ops[0].Compute != 10 || w2.ops[1].Compute != 0 {
