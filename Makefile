@@ -118,17 +118,19 @@ results-smoke:
 	rm -f results-smoke.txt
 
 # Short coverage-guided runs of the fuzz targets: the border-protocol
-# differential fuzzer, the event-engine ordering fuzzer, and the trace
-# codec fuzzer. Anything they minimize lands in the package testdata/fuzz
-# corpora — commit it.
+# differential fuzzer, the event-engine ordering fuzzer, the trace codec
+# fuzzer, and the experiment service's submission validator. Anything they
+# minimize lands in the package testdata/fuzz corpora — commit it.
 fuzz-smoke:
 	$(GO) test -run '^FuzzBorderCheck$$' -fuzz '^FuzzBorderCheck$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^FuzzEngineSchedule$$' -fuzz '^FuzzEngineSchedule$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^FuzzTraceCodec$$' -fuzz '^FuzzTraceCodec$$' -fuzztime 10s ./internal/tracerec
+	$(GO) test -run '^FuzzRequestValidate$$' -fuzz '^FuzzRequestValidate$$' -fuzztime 10s ./internal/serve
 
 # Replay smoke: record a reference trace, replay it, and byte-compare the
 # replayed report against the live run — the record/replay equivalence
-# guarantee checked end to end through bctool.
+# guarantee checked end to end through bctool. A replay past its -timeout
+# and a truncated copy of the recording must each make replay exit non-zero.
 replay-smoke:
 	$(GO) run ./cmd/bctool record -workload pathfinder -o replay-smoke-traces >/dev/null
 	$(GO) run ./cmd/bctool run -mode bc-bcc -class moderate -workload pathfinder \
@@ -136,6 +138,9 @@ replay-smoke:
 	$(GO) run ./cmd/bctool replay -mode bc-bcc -class moderate \
 		replay-smoke-traces/pathfinder.bctrace 2>/dev/null > replay-smoke-rep.txt
 	cmp replay-smoke-live.txt replay-smoke-rep.txt
+	! $(GO) run ./cmd/bctool replay -timeout 1ns replay-smoke-traces/pathfinder.bctrace 2>/dev/null
+	head -c 4096 replay-smoke-traces/pathfinder.bctrace > replay-smoke-traces/damaged.bctrace
+	! $(GO) run ./cmd/bctool replay replay-smoke-traces/damaged.bctrace 2>/dev/null
 	rm -rf replay-smoke-traces replay-smoke-live.txt replay-smoke-rep.txt
 
 # Sweep smoke: a 16-cell synthetic-traffic replay grid must render

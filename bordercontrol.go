@@ -688,15 +688,24 @@ func GenerateTraffic(cfg TrafficConfig) (*RefTrace, error) { return traffic.Gene
 func TrafficShapes() []string { return traffic.Shapes() }
 
 // WriteTraceFile / ReadTraceFile serialize traces in the versioned,
-// content-hashed .bctrace format. LoadTrace is ReadTraceFile behind a
-// process-wide cache (sweeps decode each recording once).
+// content-hashed .bctrace format.
 func WriteTraceFile(path string, t *RefTrace) error { return tracerec.WriteFile(path, t) }
 
-// ReadTraceFile reads and hash-verifies a .bctrace file.
+// ReadTraceFile reads and hash-verifies a .bctrace file; a damaged file
+// fails with a *TraceFormatError.
 func ReadTraceFile(path string) (*RefTrace, error) { return tracerec.ReadFile(path) }
 
-// LoadTrace is ReadTraceFile behind a process-wide cache.
-func LoadTrace(path string) (*RefTrace, error) { return tracerec.Load(path) }
+// ReplayCtx runs a single-segment workload recording the way RunCtx runs
+// the workload itself: same process, same reference stream, and a Result
+// bit-identical to the live run's. Multi-segment or probed traces go
+// through RunTraceCtx.
+func ReplayCtx(ctx context.Context, mode Mode, class GPUClass, rec *RefTrace, p Params, opts RunOptions) (Result, error) {
+	spec, err := tracerec.ReplaySpec(rec)
+	if err != nil {
+		return Result{}, err
+	}
+	return harness.RunCtx(ctx, mode, class, spec, p, opts)
+}
 
 // RunTraceCtx replays every segment of a trace through one simulated
 // machine — short-lived processes, adversarial probes and all. Results are
@@ -709,7 +718,7 @@ func RunTraceCtx(ctx context.Context, mode Mode, class GPUClass, tr *RefTrace, p
 // collect in cell order, so rendered output is byte-identical at any jobs
 // setting.
 func RunSweepCtx(ctx context.Context, cells []SweepCell, jobs int) ([]SweepRow, error) {
-	return harness.RunSweepCtx(ctx, cells, jobs)
+	return harness.RunSweepExec(ctx, harness.Exec{Jobs: jobs}, cells)
 }
 
 // RenderSweep and SweepCSV render sweep rows deterministically.
@@ -749,10 +758,12 @@ type DuplicateLabelError = harness.DuplicateLabelError
 // ModeSlug and ClassSlug are the canonical wire/label spellings of a mode
 // and class (sweep labels, the serve API, the worker protocol); ParseMode
 // and ParseClass invert them, accepting the historical CLI aliases
-// ("capi", "moderate").
+// ("capi", "moderate"). ParseClassList parses a sweep's class axis:
+// "both" or one class.
 var (
-	ModeSlug   = harness.ModeSlug
-	ParseMode  = harness.ParseModeSlug
-	ClassSlug  = harness.ClassSlug
-	ParseClass = harness.ParseClassSlug
+	ModeSlug       = harness.ModeSlug
+	ParseMode      = harness.ParseModeSlug
+	ClassSlug      = harness.ClassSlug
+	ParseClass     = harness.ParseClassSlug
+	ParseClassList = harness.ParseClassList
 )

@@ -41,6 +41,43 @@ func TestRunPublicAPI(t *testing.T) {
 	}
 }
 
+// TestReplayPublicAPI: a recording read back from its file replays to the
+// live run's Result, and a multi-segment trace is refused (it belongs to
+// RunTraceCtx).
+func TestReplayPublicAPI(t *testing.T) {
+	ctx := context.Background()
+	p := bc.DefaultParams()
+	rec, err := bc.RecordTrace("pathfinder", p.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/pathfinder.bctrace"
+	if err := bc.WriteTraceFile(path, rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = bc.ReadTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	live, err := bc.RunCtx(ctx, bc.BCBCC, bc.ModeratelyThreaded, "pathfinder", p, bc.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := bc.ReplayCtx(ctx, bc.BCBCC, bc.ModeratelyThreaded, rec, p, bc.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.VerifyErr != nil || rep.Render() != live.Render() {
+		t.Errorf("replay differs from live (verify %v):\n%s\nvs\n%s", rep.VerifyErr, rep.Render(), live.Render())
+	}
+	churn, err := bc.GenerateTraffic(bc.TrafficConfig{Shape: "churn", Seed: 1, Segments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bc.ReplayCtx(ctx, bc.BCBCC, bc.ModeratelyThreaded, churn, p, bc.RunOptions{}); err == nil {
+		t.Error("ReplayCtx of a multi-segment trace: want error")
+	}
+}
+
 func TestTablesPublicAPI(t *testing.T) {
 	if !strings.Contains(bc.RenderTable1(), "Border Control") {
 		t.Error("table 1 wrong")

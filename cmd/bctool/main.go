@@ -546,10 +546,6 @@ func all(ctx context.Context, args []string) error {
 	return f.finishObs(ex, bc.MergeSnapshots(snaps...))
 }
 
-func parseMode(s string) (bc.Mode, error) {
-	return bc.ParseMode(s)
-}
-
 // runOne executes one workload (`bctool run`) or replays one recording
 // (`bctool replay [flags] FILE`). The two share every flag and every line
 // of output: replaying a workload's recording prints byte-identical stdout
@@ -575,13 +571,13 @@ func runOne(ctx context.Context, args []string, replay bool) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := parseMode(*mode)
+	m, err := bc.ParseMode(*mode)
 	if err != nil {
 		return err
 	}
-	cl := bc.HighlyThreaded
-	if strings.HasPrefix(*class, "mod") {
-		cl = bc.ModeratelyThreaded
+	cl, err := bc.ParseClass(*class)
+	if err != nil {
+		return err
 	}
 	p := bc.DefaultParams()
 	p.Scale = *scale
@@ -599,13 +595,13 @@ func runOne(ctx context.Context, args []string, replay bool) error {
 		tr = bc.NewTracer(obs.traceCats)
 		opts.Tracer = tr
 	}
+	var res bc.Result
 	if replay {
 		if fs.NArg() != 1 {
 			return fmt.Errorf("usage: bctool replay [flags] FILE.bctrace")
 		}
-		path := fs.Arg(0)
-		rec, err := bc.LoadTrace(path)
-		if err != nil {
+		var rec *bc.RefTrace
+		if rec, err = bc.ReadTraceFile(fs.Arg(0)); err != nil {
 			return err
 		}
 		// A single benign segment of a known workload replays through the
@@ -615,33 +611,14 @@ func runOne(ctx context.Context, args []string, replay bool) error {
 		if !single || !knownWorkload(rec.Workload) {
 			return replayTraceRun(ctx, m, cl, rec, p, opts, obs)
 		}
-		p.Trace = path
-		*name = rec.Workload
+		res, err = bc.ReplayCtx(ctx, m, cl, rec, p, opts)
+	} else {
+		res, err = bc.RunCtx(ctx, m, cl, *name, p, opts)
 	}
-	res, err := bc.RunCtx(ctx, m, cl, *name, p, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("workload      %s\n", res.Workload)
-	fmt.Printf("mode          %v\n", res.Mode)
-	fmt.Printf("class         %v\n", res.Class)
-	fmt.Printf("GPU cycles    %d\n", res.Cycles)
-	fmt.Printf("runtime       %.3f ms\n", float64(res.Runtime)/1e9)
-	fmt.Printf("memory ops    %d\n", res.Ops)
-	fmt.Printf("DRAM util     %.1f%%\n", res.DRAMUtilization*100)
-	if res.L1MissRatio > 0 || res.L2MissRatio > 0 {
-		fmt.Printf("L1 miss       %.3f\n", res.L1MissRatio)
-		fmt.Printf("L2 miss       %.3f\n", res.L2MissRatio)
-		fmt.Printf("L1 TLB miss   %.4f\n", res.TLBMissRatio)
-	}
-	fmt.Printf("translations  %d (%d page walks)\n", res.Translations, res.PageWalks)
-	if m == bc.BCNoBCC || m == bc.BCBCC {
-		fmt.Printf("BC checks     %d (%.3f/cycle)\n", res.BCChecks, res.RequestsPerCycle())
-		fmt.Printf("BCC miss      %.4f\n", res.BCCMissRatio)
-	}
-	if res.Downgrades > 0 {
-		fmt.Printf("downgrades    %d\n", res.Downgrades)
-	}
+	fmt.Print(res.Render())
 	fmt.Fprintf(os.Stderr, "host: %s wall, %d events, %.0f events/sec\n",
 		fmtDur(res.Host.Wall), res.Host.Events, res.Host.EventsPerSec)
 	if err := obs.emitStats(res.Stats); err != nil {
@@ -683,13 +660,13 @@ func fleetCmd(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := parseMode(*mode)
+	m, err := bc.ParseMode(*mode)
 	if err != nil {
 		return err
 	}
-	cl := bc.HighlyThreaded
-	if strings.HasPrefix(*class, "mod") {
-		cl = bc.ModeratelyThreaded
+	cl, err := bc.ParseClass(*class)
+	if err != nil {
+		return err
 	}
 	p := bc.DefaultParams()
 	p.Scale = *scale
@@ -744,13 +721,13 @@ func profileCmd(ctx context.Context, args []string) error {
 	}
 	var pr *bc.Profiler
 	if *mode != "" {
-		m, err := parseMode(*mode)
+		m, err := bc.ParseMode(*mode)
 		if err != nil {
 			return err
 		}
-		cl := bc.HighlyThreaded
-		if strings.HasPrefix(*class, "mod") {
-			cl = bc.ModeratelyThreaded
+		cl, err := bc.ParseClass(*class)
+		if err != nil {
+			return err
 		}
 		p, err := bc.ProfileRun(ctx, m, cl, bc.DefaultParams(), *workloadName)
 		if err != nil {
@@ -916,18 +893,7 @@ func bench(ctx context.Context, args []string) error {
 		if err != nil {
 			return fmt.Errorf("bench replay record: %w", err)
 		}
-		dir, err := os.MkdirTemp("", "bctool-bench-trace")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		path := dir + "/" + *workloadName + ".bctrace"
-		if err := bc.WriteTraceFile(path, rec); err != nil {
-			return err
-		}
-		rp := basep
-		rp.Trace = path
-		res, err := bc.RunCtx(ctx, bc.BCBCC, bc.ModeratelyThreaded, *workloadName, rp, bc.RunOptions{})
+		res, err := bc.ReplayCtx(ctx, bc.BCBCC, bc.ModeratelyThreaded, rec, basep, bc.RunOptions{})
 		if err != nil {
 			return fmt.Errorf("bench replay: %w", err)
 		}
@@ -1311,7 +1277,7 @@ func sweepReplay(ctx context.Context, args []string) error {
 		}
 	}
 	for _, path := range splitList(*traces) {
-		rec, err := bc.LoadTrace(path)
+		rec, err := bc.ReadTraceFile(path)
 		if err != nil {
 			return err
 		}
@@ -1327,7 +1293,7 @@ func sweepReplay(ctx context.Context, args []string) error {
 	if *modes != "all" {
 		ms = ms[:0]
 		for _, s := range splitList(*modes) {
-			m, err := parseMode(s)
+			m, err := bc.ParseMode(s)
 			if err != nil {
 				return err
 			}
@@ -1338,16 +1304,9 @@ func sweepReplay(ctx context.Context, args []string) error {
 	if *borders != "all" {
 		bs = splitList(*borders)
 	}
-	var cls []bc.GPUClass
-	switch *classes {
-	case "both":
-		cls = []bc.GPUClass{bc.HighlyThreaded, bc.ModeratelyThreaded}
-	case "high":
-		cls = []bc.GPUClass{bc.HighlyThreaded}
-	case "moderate", "mod":
-		cls = []bc.GPUClass{bc.ModeratelyThreaded}
-	default:
-		return fmt.Errorf("sweep: unknown -classes %q (high, moderate, both)", *classes)
+	cls, err := bc.ParseClassList(*classes)
+	if err != nil {
+		return err
 	}
 
 	cells := bc.SweepGrid(trs, names, ms, bs, cls, bc.DefaultParams(), *shards)

@@ -8,7 +8,6 @@ import (
 	"bordercontrol/internal/accel"
 	"bordercontrol/internal/adversary"
 	"bordercontrol/internal/exp"
-	"bordercontrol/internal/sim"
 )
 
 // AdversaryReport runs seeded sandbox-escape campaigns: every requested
@@ -85,16 +84,11 @@ func campaignConfig(i int, p Params) (Mode, bool) {
 func newAdversaryEnv(i int, p Params, shards int) (*adversary.Env, bool, error) {
 	mode, selective := campaignConfig(i, p)
 	p.SelectiveFlush = selective
-	eng := &sim.Engine{}
-	if shards > 0 {
-		se := sim.NewShardedEngine(1, sim.Microsecond)
-		se.Workers = shards
-		eng = se.Shard(0)
-	}
-	sys, err := NewSystemWithEngine(eng, mode, HighlyThreaded, p)
+	m, err := newMachine(mode, HighlyThreaded, p, shards)
 	if err != nil {
 		return nil, false, err
 	}
+	sys := m.System
 	hier, ok := sys.Hier.(*accel.Sandboxed)
 	if !ok {
 		return nil, false, fmt.Errorf("adversary campaigns need a sandboxed hierarchy, got %T", sys.Hier)

@@ -8,10 +8,10 @@ import (
 )
 
 // TestInjectorRestoreFailureRecorded is the would-fail-before test for the
-// downgrade injector's restore path: the restore Protect used to be
-// `_, _ =` discarded, so a workload stranded on read-only pages reported
-// clean numbers. The injector must record the failure so RunCtx can fail
-// the run.
+// downgrader's restore path: the restore Protect used to be `_, _ =`
+// discarded, so a workload stranded on read-only pages reported clean
+// numbers. The downgrader must record the failure so RunCtx (Figure 7's
+// injection) and RunFleetCtx (churn) can fail the run.
 func TestInjectorRestoreFailureRecorded(t *testing.T) {
 	sys, err := NewSystem(BCBCC, ModeratelyThreaded, DefaultParams())
 	if err != nil {
@@ -29,9 +29,12 @@ func TestInjectorRestoreFailureRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inj := newDowngradeInjector(sys, proc, 1, 0)
+	inj := newDowngrader(sys, proc)
 	if len(inj.pages) == 0 {
-		t.Fatal("injector found no writable pages")
+		t.Fatal("downgrader found no writable pages")
+	}
+	if inj.failure() != nil {
+		t.Fatalf("fresh downgrader reports a failure: %v", inj.failure())
 	}
 
 	// Healthy round first: downgrade and restore both land.
@@ -54,6 +57,9 @@ func TestInjectorRestoreFailureRecorded(t *testing.T) {
 	}
 	if !strings.Contains(inj.err.Error(), "dead process") {
 		t.Fatalf("err = %v, want the hostos dead-process cause", inj.err)
+	}
+	if err := inj.failure(); err == nil || !strings.Contains(err.Error(), "1 restore(s) failed") {
+		t.Fatalf("failure() = %v, want the restore count and first cause", err)
 	}
 
 	// A second failure keeps the first error (the reproduction pointer).

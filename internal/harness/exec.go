@@ -52,6 +52,10 @@ type runSpec struct {
 	// P, when non-nil, overrides the sweep-wide Params for this run only
 	// (FigureBorders varies Params.Border across the jobs of one sweep).
 	P *Params
+	// attach, when non-nil, is called with the freshly assembled System
+	// before the process starts: the hook Figure 6 hangs its border event
+	// sink on.
+	attach func(*System)
 }
 
 // params returns the Params this run uses: its override, else the
@@ -101,8 +105,7 @@ func (st *stream) done() {
 	}
 }
 
-// cell is one run of a job list with the stream it replays (nil when its
-// Params.Trace names a recording file to replay instead).
+// cell is one run of a job list with the stream it replays.
 type cell struct {
 	runSpec
 	st *stream
@@ -111,8 +114,7 @@ type cell struct {
 // planStreams pairs every run with its stream, keyed by workload name and
 // Params.Scale, and returns the start order for a pool of workers. Runs are
 // grouped by stream, streams in order of first appearance, caller order
-// within a stream; a run that replays its own trace file is a group of its
-// own, in its place. The first run of each stream records it, and that
+// within a stream. The first run of each stream records it, and that
 // recording run starts workers-1 streams ahead of the other runs of the
 // earlier streams: while the pool works through one stream's runs, the
 // next streams are already being recorded, so no worker idles waiting for
@@ -127,27 +129,21 @@ func planStreams(p Params, specs []runSpec, workers int) ([]cell, []int) {
 		scale    int
 	}
 	cells := make([]cell, len(specs))
-	var groups [][]int  // each stream's runs, or one trace-file run, by first appearance
-	var nth []int       // per group: its stream's index in recording, or -1
+	var groups [][]int  // each stream's runs, by first appearance
 	var recording []int // each stream's first run, which records it
 	first := map[key]int{}
 	for i, s := range specs {
 		cells[i].runSpec = s
-		pp := s.params(p)
-		if pp.Trace != "" {
-			// Replays its own recording file.
-			groups, nth = append(groups, []int{i}), append(nth, -1)
-			continue
-		}
-		k := key{s.Spec.Name, pp.Scale}
+		scale := s.params(p).Scale
+		k := key{s.Spec.Name, scale}
 		g, ok := first[k]
 		if !ok {
 			g, first[k] = len(groups), len(groups)
-			groups, nth = append(groups, nil), append(nth, len(recording))
+			groups = append(groups, nil)
 			recording = append(recording, i)
-			cells[i].st = &stream{spec: s.Spec, scale: pp.Scale}
+			cells[i].st = &stream{spec: s.Spec, scale: scale}
 		}
-		st := cells[recording[nth[g]]].st
+		st := cells[recording[g]].st
 		st.left.Add(1)
 		cells[i].st = st
 		groups[g] = append(groups[g], i)
@@ -156,11 +152,7 @@ func planStreams(p Params, specs []runSpec, workers int) ([]cell, []int) {
 	order := make([]int, 0, len(specs))
 	started := 0 // streams whose recording run is in order
 	for g, runs := range groups {
-		if nth[g] < 0 {
-			order = append(order, runs...)
-			continue
-		}
-		for ; started < len(recording) && started <= nth[g]+lead; started++ {
+		for ; started < len(recording) && started <= g+lead; started++ {
 			order = append(order, recording[started])
 		}
 		order = append(order, runs[1:]...)
@@ -181,22 +173,20 @@ func runAll(ctx context.Context, ex Exec, p Params, specs []runSpec) ([]RunResul
 	return exp.MapOrder(ctx, runner, cells, order,
 		func(_ int, c cell) string { return c.Label },
 		func(ctx context.Context, c cell) (RunResult, error) {
-			opts := c.Opts
+			defer c.st.done()
+			replay, err := c.st.get()
+			if err != nil {
+				return RunResult{}, &RunError{Workload: c.Spec.Name, Mode: c.Mode, Class: c.Class, Stage: "build", Err: err}
+			}
+			s := c.runSpec
+			s.Spec = replay
 			if ex.Trace != nil {
-				opts.Tracer = ex.Trace.New(c.Label)
+				s.Opts.Tracer = ex.Trace.New(c.Label)
 			}
-			if opts.Shards == 0 {
-				opts.Shards = ex.Shards
+			if s.Opts.Shards == 0 {
+				s.Opts.Shards = ex.Shards
 			}
-			spec := c.Spec
-			if c.st != nil {
-				defer c.st.done()
-				var err error
-				if spec, err = c.st.get(); err != nil {
-					return RunResult{}, &RunError{Workload: c.Spec.Name, Mode: c.Mode, Class: c.Class, Stage: "build", Err: err}
-				}
-			}
-			return RunCtx(ctx, c.Mode, c.Class, spec, c.params(p), opts)
+			return s.run(ctx, s.params(p))
 		})
 }
 

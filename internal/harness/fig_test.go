@@ -1,10 +1,16 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
+	"sort"
 	"testing"
 
 	"bordercontrol/internal/core"
+	"bordercontrol/internal/trace"
+	"bordercontrol/internal/workload"
 )
 
 // The figure tests regenerate each paper artifact and assert the SHAPE the
@@ -138,6 +144,71 @@ func TestFigure6(t *testing.T) {
 					ppe, curve[i-1].MissRatio, curve[i].MissRatio)
 			}
 		}
+	}
+}
+
+// TestFigure6CapturesOnJobList: Figure 6's captures are an ordinary job
+// list, so Exec.Trace collects one timeline per capture cell, and
+// Exec.Shards runs them sharded with a byte-identical figure and stats
+// snapshot.
+func TestFigure6CapturesOnJobList(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full Figure 6 runs")
+	}
+	base, err := Figure6(context.Background(), Exec{}, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := trace.NewMulti("border")
+	sharded, err := Figure6(context.Background(), Exec{Shards: 2, Trace: multi}, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Render() != sharded.Render() {
+		t.Errorf("Figure 6 differs at Shards=2:\n%s\nvs\n%s", base.Render(), sharded.Render())
+	}
+	bj, err := json.Marshal(base.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := json.Marshal(sharded.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bj, sj) {
+		t.Error("Figure 6 stats snapshot differs at Shards=2")
+	}
+
+	var buf bytes.Buffer
+	if err := multi.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Name string `json:"name"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("merged trace is not valid JSON: %v", err)
+	}
+	var procs []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "process_name" {
+			procs = append(procs, ev.Args.Name)
+		}
+	}
+	var want []string
+	for _, spec := range workload.All() {
+		want = append(want, "fig6/capture/"+spec.Name)
+	}
+	sort.Strings(procs)
+	sort.Strings(want)
+	if !reflect.DeepEqual(procs, want) {
+		t.Errorf("trace processes %v, want one per capture cell %v", procs, want)
 	}
 }
 

@@ -1,86 +1,44 @@
 package harness
 
 import (
-	"context"
-	"fmt"
-
 	"bordercontrol/internal/arch"
 	"bordercontrol/internal/core"
-	"bordercontrol/internal/exp"
 	"bordercontrol/internal/memory"
-	"bordercontrol/internal/stats"
 	"bordercontrol/internal/workload"
 )
 
 // bcTrace is the captured Border Control event stream of one workload.
 type bcTrace struct {
-	name   string
 	events []core.TraceEvent
 	maxPPN arch.PPN
-	// stats is the capture run's metrics snapshot; the functional replays
-	// have no timing, so the capture runs carry Figure 6's observability.
-	stats stats.Snapshot
 }
 
-// captureBCTraces runs every workload once under BC-BCC on the highly
-// threaded GPU, recording the check/insert event stream at the border.
-// Each capture owns a fresh System and its own trace buffer, so the
-// workloads record in parallel on the experiment runner.
-func captureBCTraces(ctx context.Context, ex Exec, p Params) ([]bcTrace, error) {
-	return exp.Map(ctx, ex.runner(), workload.All(),
-		func(_ int, spec workload.Spec) string { return "fig6/capture/" + spec.Name },
-		func(ctx context.Context, spec workload.Spec) (bcTrace, error) {
-			return captureBCTrace(ctx, spec, p)
-		})
+// record is the border's trace sink.
+func (tr *bcTrace) record(ev core.TraceEvent) {
+	tr.events = append(tr.events, ev)
+	if ev.PPN > tr.maxPPN {
+		tr.maxPPN = ev.PPN
+	}
 }
 
-// captureBCTrace records one workload's border event stream.
-func captureBCTrace(ctx context.Context, spec workload.Spec, p Params) (bcTrace, error) {
-	tr := bcTrace{name: spec.Name}
-	sys, err := NewSystem(BCBCC, HighlyThreaded, p)
-	if err != nil {
-		return tr, err
-	}
-	proc, err := sys.OS.NewProcess(spec.Name)
-	if err != nil {
-		return tr, err
-	}
-	prog, err := spec.Build(proc, p.Scale)
-	if err != nil {
-		return tr, err
-	}
-	sys.ATS.Activate(sys.Name, proc.ASID())
-	if err := sys.BC.ProcessStart(proc.ASID()); err != nil {
-		return tr, err
-	}
-	sys.BC.SetTraceSink(func(ev core.TraceEvent) {
-		tr.events = append(tr.events, ev)
-		if ev.PPN > tr.maxPPN {
-			tr.maxPPN = ev.PPN
-		}
-	})
-	if err := sys.GPU.Launch(prog, proc.ASID()); err != nil {
-		return tr, err
-	}
-	if done := ctx.Done(); done != nil {
-		sys.Eng.Interrupt = func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
+// captureList is Figure 6's capture job list: every workload once under
+// BC-BCC on the highly threaded GPU, run i recording the check/insert
+// event stream at its border into traces[i]. It is a job list like any
+// figure's, so the captures replay its recordings and run in parallel,
+// sharded and traced as Exec asks.
+func captureList() ([]runSpec, []bcTrace) {
+	specs := workload.All()
+	list := make([]runSpec, len(specs))
+	traces := make([]bcTrace, len(specs))
+	for i, spec := range specs {
+		tr := &traces[i]
+		list[i] = runSpec{
+			Label: "fig6/capture/" + spec.Name,
+			Mode:  BCBCC, Class: HighlyThreaded, Spec: spec,
+			attach: func(sys *System) { sys.BC.SetTraceSink(tr.record) },
 		}
 	}
-	sys.Eng.Run()
-	if err := ctx.Err(); err != nil {
-		return tr, &RunError{Workload: spec.Name, Mode: BCBCC, Class: HighlyThreaded, Stage: "interrupted", Err: err}
-	}
-	if gerr := sys.GPU.Err(); gerr != nil {
-		return tr, fmt.Errorf("harness: trace capture %s: %w", spec.Name, gerr)
-	}
-	tr.stats = sys.Metrics.Snapshot()
-	return tr, nil
+	return list, traces
 }
 
 // bccGeometry builds the swept BCC configuration.

@@ -218,20 +218,18 @@ type Figure6Result struct {
 // of varying geometry. Traces are captured once per workload from a
 // BC-BCC run (trace-driven BCC simulation, like the paper's sweep); the
 // miss ratio is averaged over the benchmarks. On the experiment-execution
-// layer, trace capture is one job per workload, then each BCC geometry's
-// replay is one job (a replay mutates only its own store/table/BCC, so
-// geometries sweep in parallel over the shared read-only traces).
+// layer, the captures are a job list of one run per workload (see
+// captureList), then each BCC geometry's replay is one job (a replay
+// mutates only its own store/table/BCC, so geometries sweep in parallel
+// over the shared read-only traces).
 func Figure6(ctx context.Context, ex Exec, p Params) (Figure6Result, error) {
 	res := Figure6Result{Curves: make(map[int][]Figure6Point), PagesPerEntry: []int{1, 2, 32, 512}}
-	traces, err := captureBCTraces(ctx, ex, p)
+	list, traces := captureList()
+	runs, err := runAll(ctx, ex, p, list)
 	if err != nil {
 		return res, err
 	}
-	snaps := make([]stats.Snapshot, 0, len(traces))
-	for _, tr := range traces {
-		snaps = append(snaps, tr.stats)
-	}
-	res.Stats = stats.Merge(snaps...)
+	res.Stats = sweepStats(runs)
 
 	type geometry struct {
 		ppe, entries int

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bordercontrol/internal/accel"
-	"bordercontrol/internal/arch"
 	"bordercontrol/internal/hostos"
 	"bordercontrol/internal/sim"
 	"bordercontrol/internal/stats"
@@ -134,26 +133,19 @@ func (r FleetResult) Render() string {
 	return b.String()
 }
 
-// fleetTenant is one accelerator sandbox bound to its shard.
+// fleetTenant is one accelerator sandbox bound to its shard: its process,
+// and the churn downgrader over its writable pages.
 type fleetTenant struct {
-	sys  *System
-	proc *hostos.Process
-	prog *accel.Program
-	// pages are the sorted writable pages (the churn round-robin set);
-	// page is the host-side round-robin cursor into it.
-	pages []arch.Virt
-	page  uint64
+	process
+	churn *downgrader
+	// page is the host-side round-robin cursor into churn's pages.
+	page uint64
 
 	// done/doneAt are host-shard state, written only by the completion
-	// interrupt handler on shard 0; downgrades and the restore-failure
-	// fields are tenant-shard state, written only by commands executing on
-	// this tenant's shard. A failed restore strands the tenant's workload
-	// on read-only pages, so it fails the fleet after the engines drain.
-	done        bool
-	doneAt      sim.Time
-	downgrades  uint64
-	restoreErrs uint64
-	restoreErr  error
+	// interrupt handler on shard 0; churn's counts are tenant-shard state,
+	// written only by commands executing on this tenant's shard.
+	done   bool
+	doneAt sim.Time
 }
 
 // splitmix64 is the seeded jitter generator behind launch staggering and
@@ -163,11 +155,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// RunFleet is RunFleetCtx without cancellation.
-func RunFleet(p Params, fp FleetParams, spec workload.Spec) (FleetResult, error) {
-	return RunFleetCtx(context.Background(), p, fp, spec)
 }
 
 // RunFleetCtx assembles and executes a fleet: fp.Tenants accelerator
@@ -201,38 +188,17 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 	// clocks only diverge once the simulation runs.
 	tenants := make([]*fleetTenant, fp.Tenants)
 	for i := range tenants {
-		te := &fleetTenant{}
 		sys, err := NewSystemWithEngine(se.Shard(i+1), fp.Mode, fp.Class, p)
 		if err != nil {
 			return FleetResult{}, err
 		}
-		te.sys = sys
-		proc, err := sys.OS.NewProcess(fmt.Sprintf("%s#%d", spec.Name, i))
-		if err != nil {
-			return fail(i, "start", err)
-		}
-		te.proc = proc
-		prog, err := tracerec.BuildSegment(proc, seg)
-		if err != nil {
-			return fail(i, "build", err)
-		}
-		te.prog = prog
-
-		// Process initialization on the accelerator (paper Figure 3a).
-		sys.ATS.Activate(sys.Name, proc.ASID())
-		if sys.BC != nil {
-			if err := sys.BC.ProcessStart(proc.ASID()); err != nil {
-				return fail(i, "start", err)
-			}
-		}
-
-		// Snapshot writable pages in address order, as the downgrade
-		// injector does, so churn targeting is identical on every run.
-		proc.ForEachMapped(func(vpn arch.VPN, _ arch.PPN, perm arch.Perm) {
-			if perm.CanWrite() {
-				te.pages = append(te.pages, vpn.Base())
-			}
+		pr, stage, err := startProcess(sys, fmt.Sprintf("%s#%d", spec.Name, i), func(proc *hostos.Process) (*accel.Program, error) {
+			return tracerec.BuildSegment(proc, seg)
 		})
+		if err != nil {
+			return fail(i, stage, err)
+		}
+		te := &fleetTenant{process: pr, churn: newDowngrader(sys, pr.proc)}
 
 		// Launch doorbell: host -> tenant at a seeded arrival time; the
 		// callback runs on the tenant shard.
@@ -241,7 +207,7 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 			launchAt += sim.Time(splitmix64(uint64(fp.Seed)+uint64(i)) % uint64(fp.LaunchSpread))
 		}
 		host.Send(sim.ShardID(i+1), launchAt+fp.Lookahead, func(_ sim.Time, _ uint64) {
-			if err := sys.GPU.Launch(prog, proc.ASID()); err != nil {
+			if err := te.launch(); err != nil {
 				// Launching on a fresh system cannot fail; if it does, the
 				// fleet wiring is broken and must be loud.
 				panic(err)
@@ -283,20 +249,10 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 			}
 			churnSeq++
 			target := int(splitmix64(uint64(fp.Seed)^(churnSeq*0x100000001b3)) % uint64(fp.Tenants))
-			if te := tenants[target]; !te.done && len(te.pages) > 0 {
+			if te := tenants[target]; !te.done && len(te.churn.pages) > 0 {
 				host.Send(sim.ShardID(target+1), now+fp.Lookahead, func(_ sim.Time, pi uint64) {
-					if te.sys.GPU.Finished() {
-						return
-					}
-					v := te.pages[pi%uint64(len(te.pages))]
-					if _, err := te.sys.OS.Protect(te.proc, v, arch.PageSize, arch.PermRead); err == nil {
-						te.downgrades++
-					}
-					if _, err := te.sys.OS.Protect(te.proc, v, arch.PageSize, arch.PermRW); err != nil {
-						te.restoreErrs++
-						if te.restoreErr == nil {
-							te.restoreErr = fmt.Errorf("restore %#x to RW: %w", uint64(v), err)
-						}
+					if !te.sys.GPU.Finished() {
+						te.churn.injectOnce(pi)
 					}
 				}, te.page)
 				te.page++
@@ -306,17 +262,7 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 		host.ScheduleInto(fp.DowngradeEvery, tick, 0)
 	}
 
-	if done := ctx.Done(); done != nil {
-		se.Interrupt = func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		}
-	}
-
+	se.Interrupt = interrupt(ctx)
 	wallStart := time.Now()
 	se.Run()
 	wall := time.Since(wallStart)
@@ -324,17 +270,11 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 	// Distinguish an external interruption from a genuinely stuck fleet
 	// before touching any results.
 	for i, te := range tenants {
-		if !te.sys.GPU.Finished() {
-			if err := ctx.Err(); err != nil {
-				return fail(i, "interrupted", err)
-			}
-			return fail(i, "hang", fmt.Errorf("fleet drained with tenant %d incomplete", i))
+		if stage, err := te.drained(ctx); err != nil {
+			return fail(i, stage, err)
 		}
-		if gerr := te.sys.GPU.Err(); gerr != nil {
-			return fail(i, "abort", gerr)
-		}
-		if te.restoreErr != nil {
-			return fail(i, "downgrade", fmt.Errorf("%d restore(s) failed; first: %w", te.restoreErrs, te.restoreErr))
+		if err := te.churn.failure(); err != nil {
+			return fail(i, "downgrade", err)
 		}
 	}
 
@@ -348,10 +288,7 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 		Windows:  se.Windows(),
 		Messages: se.Delivered(),
 		MaxSkew:  se.MaxSkew(),
-		Host:     HostStats{Wall: wall, Events: se.Fired()},
-	}
-	if s := wall.Seconds(); s > 0 {
-		res.Host.EventsPerSec = float64(res.Host.Events) / s
+		Host:     hostStats(wall, se.Fired()),
 	}
 
 	// Completion (paper Figure 3e) and output verification, per tenant in
@@ -367,14 +304,11 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 		if te.doneAt > res.LastDone {
 			res.LastDone = te.doneAt
 		}
-		res.Downgrades += te.downgrades
+		res.Downgrades += te.churn.count
 		res.Ops += te.sys.GPU.OpsDone.Value()
-		if te.sys.BC != nil {
-			res.BCChecks += te.sys.BC.CrossingChecks()
-			te.sys.BC.ProcessComplete(te.sys.GPU.FinishTime(), te.proc.ASID())
-		}
-		te.sys.ATS.Deactivate(te.sys.Name, te.proc.ASID())
-		if te.prog.Verify == nil || te.prog.Verify(te.proc) == nil {
+		checks, _ := te.sys.borderStats()
+		res.BCChecks += checks
+		if te.complete(true) == nil {
 			res.Verified++
 		}
 		snaps = append(snaps, te.sys.Metrics.Snapshot())

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -25,7 +26,7 @@ func BenchmarkShardedEngine(b *testing.B) {
 				fp.Tenants = tenants
 				fp.Workers = workers
 				for i := 0; i < b.N; i++ {
-					res, err := RunFleet(DefaultParams(), fp, spec)
+					res, err := RunFleetCtx(context.Background(), DefaultParams(), fp, spec)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -28,7 +28,7 @@ func fleetSpec(t *testing.T) (FleetParams, workload.Spec) {
 // commands) is accounted.
 func TestFleetCompletes(t *testing.T) {
 	fp, spec := fleetSpec(t)
-	res, err := RunFleet(DefaultParams(), fp, spec)
+	res, err := RunFleetCtx(context.Background(), DefaultParams(), fp, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	var wantText string
 	for _, workers := range []int{1, 2, 4, 8} {
 		fp.Workers = workers
-		res, err := RunFleet(DefaultParams(), fp, spec)
+		res, err := RunFleetCtx(context.Background(), DefaultParams(), fp, spec)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -98,12 +98,12 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 // different seed must move launches, and with them completion times.
 func TestFleetSeedMatters(t *testing.T) {
 	fp, spec := fleetSpec(t)
-	a, err := RunFleet(DefaultParams(), fp, spec)
+	a, err := RunFleetCtx(context.Background(), DefaultParams(), fp, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp.Seed = 99
-	b, err := RunFleet(DefaultParams(), fp, spec)
+	b, err := RunFleetCtx(context.Background(), DefaultParams(), fp, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,12 @@ func TestFleetValidate(t *testing.T) {
 	_, spec := fleetSpec(t)
 	bad := DefaultFleetParams()
 	bad.Tenants = 0
-	if _, err := RunFleet(DefaultParams(), bad, spec); err == nil {
+	if _, err := RunFleetCtx(context.Background(), DefaultParams(), bad, spec); err == nil {
 		t.Error("Tenants=0 accepted")
 	}
 	bad = DefaultFleetParams()
 	bad.Lookahead = 0
-	if _, err := RunFleet(DefaultParams(), bad, spec); err == nil {
+	if _, err := RunFleetCtx(context.Background(), DefaultParams(), bad, spec); err == nil {
 		t.Error("Lookahead=0 accepted")
 	}
 }

@@ -79,7 +79,7 @@ func TestDefaultParamsMatchPaper(t *testing.T) {
 
 func TestRunReportsStatistics(t *testing.T) {
 	spec, _ := workload.ByName("pathfinder")
-	res, err := Run(BCBCC, HighlyThreaded, spec, DefaultParams(), RunOptions{})
+	res, err := RunCtx(context.Background(), BCBCC, HighlyThreaded, spec, DefaultParams(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRunReportsStatistics(t *testing.T) {
 
 func TestRunBaselineHasNoChecks(t *testing.T) {
 	spec, _ := workload.ByName("pathfinder")
-	res, err := Run(ATSOnly, HighlyThreaded, spec, DefaultParams(), RunOptions{})
+	res, err := RunCtx(context.Background(), ATSOnly, HighlyThreaded, spec, DefaultParams(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestRunBaselineHasNoChecks(t *testing.T) {
 
 func TestFixedDowngradeInjection(t *testing.T) {
 	spec, _ := workload.ByName("pathfinder")
-	quiet, err := Run(BCBCC, HighlyThreaded, spec, DefaultParams(), RunOptions{})
+	quiet, err := RunCtx(context.Background(), BCBCC, HighlyThreaded, spec, DefaultParams(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(BCBCC, HighlyThreaded, spec, DefaultParams(), RunOptions{
+	res, err := RunCtx(context.Background(), BCBCC, HighlyThreaded, spec, DefaultParams(), RunOptions{
 		FixedDowngrades: 10,
 		SpreadOver:      quiet.Runtime,
 	})
@@ -147,11 +147,11 @@ func TestDowngradeCostOrdering(t *testing.T) {
 	// updates the table), and both costs are bounded.
 	spec, _ := workload.ByName("pathfinder")
 	cost := func(mode Mode) sim.Time {
-		quiet, err := Run(mode, HighlyThreaded, spec, DefaultParams(), RunOptions{})
+		quiet, err := RunCtx(context.Background(), mode, HighlyThreaded, spec, DefaultParams(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj, err := Run(mode, HighlyThreaded, spec, DefaultParams(), RunOptions{
+		inj, err := RunCtx(context.Background(), mode, HighlyThreaded, spec, DefaultParams(), RunOptions{
 			FixedDowngrades: 20, SpreadOver: quiet.Runtime,
 		})
 		if err != nil {

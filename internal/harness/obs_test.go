@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"testing"
 
 	"bordercontrol/internal/prof"
@@ -29,7 +30,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	p := DefaultParams()
 	var blobs [][]byte
 	for i := 0; i < 2; i++ {
-		res, err := Run(BCBCC, ModeratelyThreaded, spec, p, RunOptions{})
+		res, err := RunCtx(context.Background(), BCBCC, ModeratelyThreaded, spec, p, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 // names: BCC, TLBs, caches, DRAM and the engine, under dotted paths.
 func TestSnapshotCoverage(t *testing.T) {
 	spec := mustSpec(t, "pathfinder")
-	res, err := Run(BCBCC, HighlyThreaded, spec, DefaultParams(), RunOptions{})
+	res, err := RunCtx(context.Background(), BCBCC, HighlyThreaded, spec, DefaultParams(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +92,12 @@ func TestSnapshotCoverage(t *testing.T) {
 func TestTracerIsPureObservation(t *testing.T) {
 	spec := mustSpec(t, "pathfinder")
 	p := DefaultParams()
-	plain, err := Run(BCBCC, ModeratelyThreaded, spec, p, RunOptions{})
+	plain, err := RunCtx(context.Background(), BCBCC, ModeratelyThreaded, spec, p, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	traced, err := Run(BCBCC, ModeratelyThreaded, spec, p, RunOptions{Tracer: tr})
+	traced, err := RunCtx(context.Background(), BCBCC, ModeratelyThreaded, spec, p, RunOptions{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestLatencyHistogramsDistinguishClasses(t *testing.T) {
 	p := DefaultParams()
 	p.BCC.Entries = 16
 	p.BCC.PagesPerEntry = 1 // page-granular entries: capacity-bound, so misses happen
-	res, err := Run(BCBCC, ModeratelyThreaded, spec, p, RunOptions{})
+	res, err := RunCtx(context.Background(), BCBCC, ModeratelyThreaded, spec, p, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestLatencyHistogramsDistinguishClasses(t *testing.T) {
 // against the histogram schema checker.
 func TestStatsJSONHistogramSchema(t *testing.T) {
 	spec := mustSpec(t, "pathfinder")
-	res, err := Run(BCBCC, ModeratelyThreaded, spec, DefaultParams(), RunOptions{})
+	res, err := RunCtx(context.Background(), BCBCC, ModeratelyThreaded, spec, DefaultParams(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +212,11 @@ func TestStatsJSONHistogramSchema(t *testing.T) {
 // job completion order.
 func TestSnapshotMergeHistogramsOrderIndependent(t *testing.T) {
 	spec := mustSpec(t, "pathfinder")
-	a, err := Run(BCBCC, ModeratelyThreaded, spec, DefaultParams(), RunOptions{})
+	a, err := RunCtx(context.Background(), BCBCC, ModeratelyThreaded, spec, DefaultParams(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(BCNoBCC, ModeratelyThreaded, spec, DefaultParams(), RunOptions{})
+	b, err := RunCtx(context.Background(), BCNoBCC, ModeratelyThreaded, spec, DefaultParams(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +239,12 @@ func TestSnapshotMergeHistogramsOrderIndependent(t *testing.T) {
 func TestProfilerIsPureObservation(t *testing.T) {
 	spec := mustSpec(t, "pathfinder")
 	p := DefaultParams()
-	plain, err := Run(BCBCC, ModeratelyThreaded, spec, p, RunOptions{})
+	plain, err := RunCtx(context.Background(), BCBCC, ModeratelyThreaded, spec, p, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr1 := prof.New()
-	profiled, err := Run(BCBCC, ModeratelyThreaded, spec, p, RunOptions{Profiler: pr1})
+	profiled, err := RunCtx(context.Background(), BCBCC, ModeratelyThreaded, spec, p, RunOptions{Profiler: pr1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestProfilerIsPureObservation(t *testing.T) {
 	}
 
 	pr2 := prof.New()
-	if _, err := Run(BCBCC, ModeratelyThreaded, spec, p, RunOptions{Profiler: pr2}); err != nil {
+	if _, err := RunCtx(context.Background(), BCBCC, ModeratelyThreaded, spec, p, RunOptions{Profiler: pr2}); err != nil {
 		t.Fatal(err)
 	}
 	if pr1.Folded() != pr2.Folded() {
@@ -283,6 +284,60 @@ func TestProfileByteIdenticalAcrossJobs(t *testing.T) {
 	}
 	if serial.Folded() != par.Folded() {
 		t.Error("profile differs between -jobs 1 and -jobs 4")
+	}
+}
+
+// TestProfileGolden pins the simulated-time profile byte for byte: the
+// profile matrix of pathfinder, and one single-config profile (ProfileRun,
+// BC-BCC on the moderately threaded GPU). Profiles replay a recording of
+// the workload, so these also pin replay against the live-built profiles
+// the goldens were taken from.
+func TestProfileGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		run    func() (*prof.Profiler, error)
+	}{
+		{"testdata/profile-pathfinder-bc-bcc-mod.folded", func() (*prof.Profiler, error) {
+			return ProfileRun(context.Background(), BCBCC, ModeratelyThreaded, DefaultParams(), "pathfinder")
+		}},
+		{"testdata/profile-pathfinder.folded", func() (*prof.Profiler, error) {
+			return Profile(context.Background(), Exec{Jobs: 2}, DefaultParams(), "pathfinder")
+		}},
+	}
+	if testing.Short() {
+		cases = cases[:1] // the 4-cell matrix only on the full run
+	}
+	for _, c := range cases {
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pr.Folded(); got != string(want) {
+			t.Errorf("%s: folded profile differs:\ngot:\n%swant:\n%s", c.golden, got, want)
+		}
+	}
+}
+
+// TestRunRenderGolden: RunResult.Render plus the verification line is the
+// `bctool run` report, pinned byte for byte by the flat-border golden.
+func TestRunRenderGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/border-flat-cell.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunCtx(context.Background(), BCBCC, ModeratelyThreaded, mustSpec(t, "pathfinder"), DefaultParams(), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.VerifyErr != nil {
+		t.Fatal(res.VerifyErr)
+	}
+	if got := res.Render() + "results       verified correct\n"; got != string(want) {
+		t.Errorf("run report differs from the golden:\ngot:\n%swant:\n%s", got, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"bordercontrol/internal/exp"
 	"bordercontrol/internal/prof"
 	"bordercontrol/internal/workload"
 )
@@ -28,49 +27,44 @@ func ProfileMatrix() []ProfileConfig {
 }
 
 // Profile runs the workload across the profile matrix with a per-job
-// simulated-time profiler attached and returns the merged profile. Each job
-// gets its own Profiler (profilers are single-goroutine, like every stats
-// structure), and the merge is a commutative sum over per-stack totals —
-// the result is byte-identical at any Exec.Jobs setting.
+// simulated-time profiler attached and returns the merged profile. The
+// cells are an ordinary job list, so the workload is recorded once and
+// replayed into each. Each job gets its own Profiler (profilers are
+// single-goroutine, like every stats structure), and the merge is a
+// commutative sum over per-stack totals — the result is byte-identical at
+// any Exec.Jobs setting.
 func Profile(ctx context.Context, ex Exec, p Params, workloadName string) (*prof.Profiler, error) {
+	return profile(ctx, ex, p, workloadName, ProfileMatrix())
+}
+
+// ProfileRun profiles a single (mode, class, workload) simulation, a
+// one-cell Profile, and returns its profiler.
+func ProfileRun(ctx context.Context, mode Mode, class GPUClass, p Params, workloadName string) (*prof.Profiler, error) {
+	cfg := ProfileConfig{Mode: mode, Class: class, Label: modeSlug(mode) + "/" + classShort(class)}
+	return profile(ctx, Exec{}, p, workloadName, []ProfileConfig{cfg})
+}
+
+// profile runs the workload once per config, each with its own profiler,
+// and merges the profiles in config order.
+func profile(ctx context.Context, ex Exec, p Params, workloadName string, configs []ProfileConfig) (*prof.Profiler, error) {
 	spec, ok := workload.ByName(workloadName)
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown workload %q (have %v)", workloadName, workload.Names())
 	}
-	configs := ProfileMatrix()
-	type job struct {
-		cfg ProfileConfig
-		pr  *prof.Profiler
+	list := make([]runSpec, len(configs))
+	for i, cfg := range configs {
+		list[i] = runSpec{
+			Label: cfg.Label + "/" + workloadName,
+			Mode:  cfg.Mode, Class: cfg.Class, Spec: spec,
+			Opts: RunOptions{Profiler: prof.New()},
+		}
 	}
-	jobs := make([]job, 0, len(configs))
-	for _, cfg := range configs {
-		jobs = append(jobs, job{cfg: cfg, pr: prof.New()})
-	}
-	_, err := exp.Map(ctx, ex.runner(), jobs,
-		func(_ int, j job) string { return j.cfg.Label + "/" + workloadName },
-		func(ctx context.Context, j job) (RunResult, error) {
-			return RunCtx(ctx, j.cfg.Mode, j.cfg.Class, spec, p, RunOptions{Profiler: j.pr})
-		})
-	if err != nil {
+	if _, err := runAll(ctx, ex, p, list); err != nil {
 		return nil, err
 	}
 	merged := prof.New()
-	for _, j := range jobs {
-		merged.Merge(j.pr)
+	for _, s := range list {
+		merged.Merge(s.Opts.Profiler)
 	}
 	return merged, nil
-}
-
-// ProfileRun profiles a single (mode, class, workload) simulation and
-// returns its profiler.
-func ProfileRun(ctx context.Context, mode Mode, class GPUClass, p Params, workloadName string) (*prof.Profiler, error) {
-	spec, ok := workload.ByName(workloadName)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown workload %q (have %v)", workloadName, workload.Names())
-	}
-	pr := prof.New()
-	if _, err := RunCtx(ctx, mode, class, spec, p, RunOptions{Profiler: pr}); err != nil {
-		return nil, err
-	}
-	return pr, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"bordercontrol/internal/accel"
 	"bordercontrol/internal/arch"
+	"bordercontrol/internal/hostos"
 	"bordercontrol/internal/sim"
 	"bordercontrol/internal/stats"
 	"bordercontrol/internal/tracerec"
@@ -56,11 +57,6 @@ type TraceRunResult struct {
 	Host HostStats
 }
 
-// RunTrace executes a recorded or generated trace on a fresh system.
-func RunTrace(mode Mode, class GPUClass, tr *tracerec.Trace, p Params, opts RunOptions) (TraceRunResult, error) {
-	return RunTraceCtx(context.Background(), mode, class, tr, p, opts)
-}
-
 // RunTraceCtx replays every segment of tr through one simulated machine,
 // in order: fresh process, replayed address space, process start on the
 // accelerator, kernel launch, adversarial probes at their recorded times,
@@ -73,38 +69,14 @@ func RunTrace(mode Mode, class GPUClass, tr *tracerec.Trace, p Params, opts RunO
 // result — every simulated time, count, and stats snapshot — is
 // bit-identical at any opts.Shards setting and any worker count.
 func RunTraceCtx(ctx context.Context, mode Mode, class GPUClass, tr *tracerec.Trace, p Params, opts RunOptions) (TraceRunResult, error) {
-	fail := func(stage string, err error) (TraceRunResult, error) {
-		return TraceRunResult{}, &RunError{Workload: tr.Workload, Mode: mode, Class: class, Stage: stage, Err: err}
-	}
-	var se *sim.ShardedEngine
-	eng := &sim.Engine{}
-	if opts.Shards > 0 {
-		se = sim.NewShardedEngine(1, sim.Microsecond)
-		se.Workers = opts.Shards
-		eng = se.Shard(0)
-	}
-	sys, err := NewSystemWithEngine(eng, mode, class, p)
+	m, err := newMachine(mode, class, p, opts.Shards)
 	if err != nil {
 		return TraceRunResult{}, err
 	}
+	sys, eng := m.System, m.Eng
 	// Probed segments frame their own process for the violation; the run
 	// must survive the report to keep churning through segments.
 	sys.OS.KeepProcessOnViolation = true
-	if done := ctx.Done(); done != nil {
-		poll := func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		}
-		if se != nil {
-			se.Interrupt = poll
-		} else {
-			eng.Interrupt = poll
-		}
-	}
 	if opts.Tracer != nil {
 		sys.AttachTracer(opts.Tracer)
 	}
@@ -116,28 +88,21 @@ func RunTraceCtx(ctx context.Context, mode Mode, class GPUClass, tr *tracerec.Tr
 	var wall time.Duration
 	for si := range tr.Segments {
 		seg := &tr.Segments[si]
-		segfail := func(stage string, err error) (TraceRunResult, error) {
-			return fail(stage, fmt.Errorf("segment %d (%s): %w", si, seg.Name, err))
+		fail := func(stage string, err error) (TraceRunResult, error) {
+			return TraceRunResult{}, &RunError{Workload: tr.Workload, Mode: mode, Class: class, Stage: stage,
+				Err: fmt.Errorf("segment %d (%s): %w", si, seg.Name, err)}
 		}
-		proc, err := sys.OS.NewProcess(seg.Name)
+		pr, stage, err := startProcess(sys, seg.Name, func(proc *hostos.Process) (*accel.Program, error) {
+			return tracerec.BuildSegment(proc, seg)
+		})
 		if err != nil {
-			return segfail("start", err)
+			return fail(stage, err)
 		}
-		prog, err := tracerec.BuildSegment(proc, seg)
-		if err != nil {
-			return segfail("build", err)
-		}
-		sys.ATS.Activate(sys.Name, proc.ASID())
-		if sys.BC != nil {
-			if err := sys.BC.ProcessStart(proc.ASID()); err != nil {
-				return segfail("start", err)
-			}
-		}
-		if err := sys.GPU.Launch(prog, proc.ASID()); err != nil {
-			return segfail("launch", err)
+		if err := pr.launch(); err != nil {
+			return fail("launch", err)
 		}
 
-		sres := SegmentResult{Name: seg.Name, ASID: proc.ASID()}
+		sres := SegmentResult{Name: seg.Name, ASID: pr.proc.ASID()}
 		opsBefore := sys.GPU.OpsDone.Value()
 		segStart := eng.Now()
 		if len(seg.Probes) > 0 {
@@ -145,15 +110,15 @@ func RunTraceCtx(ctx context.Context, mode Mode, class GPUClass, tr *tracerec.Tr
 			// offsets from this segment's launch, claiming the segment's
 			// own identity (attribution, never authority).
 			trojan := accel.NewTrojan(sys.Port)
-			trojan.ASID = proc.ASID()
-			for _, pr := range seg.Probes {
-				pr := pr
-				eng.At(segStart+pr.At, func() {
+			trojan.ASID = pr.proc.ASID()
+			for _, probe := range seg.Probes {
+				probe := probe
+				eng.At(segStart+probe.At, func() {
 					granted := false
-					if pr.Kind == arch.Write {
-						granted = trojan.TryWrite(eng.Now(), pr.Addr, [arch.BlockSize]byte{})
+					if probe.Kind == arch.Write {
+						granted = trojan.TryWrite(eng.Now(), probe.Addr, [arch.BlockSize]byte{})
 					} else {
-						_, granted = trojan.TryRead(eng.Now(), pr.Addr)
+						_, granted = trojan.TryRead(eng.Now(), probe.Addr)
 					}
 					if granted {
 						sres.ProbesGranted++
@@ -164,52 +129,24 @@ func RunTraceCtx(ctx context.Context, mode Mode, class GPUClass, tr *tracerec.Tr
 			}
 		}
 
-		wallStart := time.Now()
-		if se != nil {
-			se.Run()
-		} else {
-			eng.Run()
+		wall += m.run(ctx)
+		if stage, err := pr.drained(ctx); err != nil {
+			return fail(stage, err)
 		}
-		wall += time.Since(wallStart)
-
-		if !sys.GPU.Finished() {
-			if err := ctx.Err(); err != nil {
-				return segfail("interrupted", err)
-			}
-			return segfail("hang", fmt.Errorf("simulation drained with the kernel incomplete"))
-		}
-		if gerr := sys.GPU.Err(); gerr != nil {
-			return segfail("abort", gerr)
-		}
-
 		sres.Runtime = sys.GPU.Runtime()
 		sres.Ops = sys.GPU.OpsDone.Value() - opsBefore
-		if sys.BC != nil {
-			sys.BC.ProcessComplete(sys.GPU.FinishTime(), proc.ASID())
-		}
-		sys.ATS.Deactivate(sys.Name, proc.ASID())
-		if prog.Verify != nil && !opts.SkipVerify {
-			sres.VerifyErr = prog.Verify(proc)
-		}
+		sres.VerifyErr = pr.complete(!opts.SkipVerify)
 		// Exit tears the address space down: permission downgrades broadcast
 		// to the accelerator (the flush path churn is designed to hammer)
 		// and every frame returns to the allocator in deterministic order.
-		sys.OS.Exit(proc)
+		sys.OS.Exit(pr.proc)
 		res.Segments = append(res.Segments, sres)
 		res.Ops += sres.Ops
 	}
 
 	res.SimTime = eng.Now()
-	if sys.BC != nil {
-		res.BCChecks = sys.BC.CrossingChecks()
-		if bcc := sys.BC.Cache(); bcc != nil {
-			res.BCCMissRatio = bcc.CheckHitMiss.MissRatio()
-		}
-	}
+	res.BCChecks, res.BCCMissRatio = sys.borderStats()
 	res.Stats = sys.Metrics.Snapshot()
-	res.Host = HostStats{Wall: wall, Events: eng.Fired()}
-	if s := wall.Seconds(); s > 0 {
-		res.Host.EventsPerSec = float64(res.Host.Events) / s
-	}
+	res.Host = hostStats(wall, eng.Fired())
 	return res, nil
 }

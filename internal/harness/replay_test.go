@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"bordercontrol/internal/tracerec"
@@ -18,26 +20,35 @@ import (
 // to running the generator live — same simulated runtime, same event
 // count, same full stats snapshot — in all five modes on both GPU classes
 // (every cell the figures replay), and across all four protocol variants
-// (BCNoBCC/BCBCC x SelectiveFlush) and all three border designs. This is
-// what lets a figure or a sweep record once and fan its cells out over one
-// recording.
+// (BCNoBCC/BCBCC x SelectiveFlush) and all three border designs. Each
+// recording goes through an Encode/Decode round trip first, so what is
+// replayed is what a .bctrace file holds. This is what lets a figure or a
+// sweep record once and fan its cells out over one recording.
 func TestReplayMatchesLiveGolden(t *testing.T) {
 	specs := workload.All()
 	if testing.Short() {
 		specs = specs[:2] // full matrix on the CI path; a taste under -short
 	}
-	dir := t.TempDir()
+	replays := make(map[string]workload.Spec, len(specs))
 	for _, spec := range specs {
 		tr, err := tracerec.Record(spec, 1)
 		if err != nil {
 			t.Fatalf("record %s: %v", spec.Name, err)
 		}
-		if err := tracerec.WriteFile(tracerec.Resolve(dir, spec.Name), tr); err != nil {
-			t.Fatalf("write %s: %v", spec.Name, err)
+		blob, err := tracerec.Encode(tr)
+		if err != nil {
+			t.Fatalf("encode %s: %v", spec.Name, err)
+		}
+		if tr, err = tracerec.Decode(blob); err != nil {
+			t.Fatalf("decode %s: %v", spec.Name, err)
+		}
+		if replays[spec.Name], err = tracerec.ReplaySpec(tr); err != nil {
+			t.Fatalf("replay spec %s: %v", spec.Name, err)
 		}
 	}
 
 	for _, spec := range specs {
+		replay := replays[spec.Name]
 		for _, mode := range []Mode{BCNoBCC, BCBCC} {
 			for _, selective := range []bool{true, false} {
 				for _, border := range []string{"flat", "sparta", "range"} {
@@ -47,7 +58,7 @@ func TestReplayMatchesLiveGolden(t *testing.T) {
 						p := DefaultParams()
 						p.SelectiveFlush = selective
 						p.Border = border
-						checkReplayMatchesLive(t, mode, ModeratelyThreaded, spec, p, dir)
+						checkReplayMatchesLive(t, mode, ModeratelyThreaded, spec, replay, p)
 					})
 				}
 			}
@@ -59,7 +70,7 @@ func TestReplayMatchesLiveGolden(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%v/%v", spec.Name, mode, class), func(t *testing.T) {
 					t.Parallel()
-					checkReplayMatchesLive(t, mode, class, spec, DefaultParams(), dir)
+					checkReplayMatchesLive(t, mode, class, spec, replay, DefaultParams())
 				})
 			}
 		}
@@ -67,16 +78,14 @@ func TestReplayMatchesLiveGolden(t *testing.T) {
 }
 
 // checkReplayMatchesLive runs one cell live and replayed from the
-// recordings in dir, and requires identical results.
-func checkReplayMatchesLive(t *testing.T, mode Mode, class GPUClass, spec workload.Spec, p Params, dir string) {
+// workload's recording, and requires identical results.
+func checkReplayMatchesLive(t *testing.T, mode Mode, class GPUClass, spec, replay workload.Spec, p Params) {
 	t.Helper()
-	live, err := Run(mode, class, spec, p, RunOptions{})
+	live, err := RunCtx(context.Background(), mode, class, spec, p, RunOptions{})
 	if err != nil {
 		t.Fatalf("live: %v", err)
 	}
-	rp := p
-	rp.Trace = dir
-	rep, err := Run(mode, class, spec, rp, RunOptions{})
+	rep, err := RunCtx(context.Background(), mode, class, replay, p, RunOptions{})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -108,10 +117,11 @@ func checkReplayMatchesLive(t *testing.T, mode Mode, class GPUClass, spec worklo
 	}
 }
 
-// TestReplayDecodeErrorTyped: a corrupt or truncated recording must
-// surface from Run as a typed *RunError in the build stage wrapping the
-// codec's *FormatError — never a panic, never an untyped string. This is
-// the regression test for the replay-layer failure path.
+// TestReplayDecodeErrorTyped: a corrupt or truncated recording file must
+// fail where recordings are read, ReadFile, with the codec's typed
+// *FormatError naming the file — never a panic, never an untyped string,
+// and never a trace to replay. This is the regression test for the replay
+// layer's failure path.
 func TestReplayDecodeErrorTyped(t *testing.T) {
 	spec, _ := workload.ByName("pathfinder")
 	tr, err := tracerec.Record(spec, 1)
@@ -136,19 +146,16 @@ func TestReplayDecodeErrorTyped(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		p := DefaultParams()
-		p.Trace = path
-		_, err := Run(BCBCC, ModeratelyThreaded, spec, p, RunOptions{})
-		if err == nil {
-			t.Fatalf("%s: replay of a damaged trace succeeded", name)
-		}
-		var re *RunError
-		if !errors.As(err, &re) || re.Stage != "build" {
-			t.Fatalf("%s: error %v is not a build-stage *RunError", name, err)
+		got, err := tracerec.ReadFile(path)
+		if err == nil || got != nil {
+			t.Fatalf("%s: reading a damaged trace gave (%v, %v), want only an error", name, got, err)
 		}
 		var fe *tracerec.FormatError
 		if !errors.As(err, &fe) {
 			t.Fatalf("%s: error %v does not wrap a *tracerec.FormatError", name, err)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %v does not name the file", name, err)
 		}
 	}
 }

@@ -3,16 +3,15 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"bordercontrol/internal/accel"
-	"bordercontrol/internal/arch"
 	"bordercontrol/internal/hostos"
 	"bordercontrol/internal/prof"
 	"bordercontrol/internal/sim"
 	"bordercontrol/internal/stats"
 	"bordercontrol/internal/trace"
-	"bordercontrol/internal/tracerec"
 	"bordercontrol/internal/workload"
 )
 
@@ -139,95 +138,77 @@ func (r RunResult) RequestsPerCycle() float64 {
 	return float64(r.BCChecks) / float64(r.Cycles)
 }
 
-// Run executes one workload on a fresh system in the given configuration.
-func Run(mode Mode, class GPUClass, spec workload.Spec, p Params, opts RunOptions) (RunResult, error) {
-	return RunCtx(context.Background(), mode, class, spec, p, opts)
+// Render returns the `bctool run` report: the run's identity, timing and
+// border statistics, one per line. It stops short of the verification
+// line, which each caller prints where its output order needs it.
+func (r RunResult) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "workload      %s\n", r.Workload)
+	fmt.Fprintf(&b, "mode          %v\n", r.Mode)
+	fmt.Fprintf(&b, "class         %v\n", r.Class)
+	fmt.Fprintf(&b, "GPU cycles    %d\n", r.Cycles)
+	fmt.Fprintf(&b, "runtime       %.3f ms\n", float64(r.Runtime)/1e9)
+	fmt.Fprintf(&b, "memory ops    %d\n", r.Ops)
+	fmt.Fprintf(&b, "DRAM util     %.1f%%\n", r.DRAMUtilization*100)
+	if r.L1MissRatio > 0 || r.L2MissRatio > 0 {
+		fmt.Fprintf(&b, "L1 miss       %.3f\n", r.L1MissRatio)
+		fmt.Fprintf(&b, "L2 miss       %.3f\n", r.L2MissRatio)
+		fmt.Fprintf(&b, "L1 TLB miss   %.4f\n", r.TLBMissRatio)
+	}
+	fmt.Fprintf(&b, "translations  %d (%d page walks)\n", r.Translations, r.PageWalks)
+	if r.Mode == BCNoBCC || r.Mode == BCBCC {
+		fmt.Fprintf(&b, "BC checks     %d (%.3f/cycle)\n", r.BCChecks, r.RequestsPerCycle())
+		fmt.Fprintf(&b, "BCC miss      %.4f\n", r.BCCMissRatio)
+	}
+	if r.Downgrades > 0 {
+		fmt.Fprintf(&b, "downgrades    %d\n", r.Downgrades)
+	}
+	return b.String()
 }
 
-// RunCtx is Run with cooperative cancellation: the simulation engine polls
-// ctx between events, so a cancelled or timed-out run aborts promptly and
-// fails with a *RunError wrapping ctx.Err(). Every failure path that names
-// a specific run returns a *RunError, so parallel sweeps report exactly
-// which job broke.
+// RunCtx executes one workload on a fresh system in the given
+// configuration. The simulation engine polls ctx between events, so a
+// cancelled or timed-out run aborts promptly and fails with a *RunError
+// wrapping ctx.Err(). Every failure path that names a specific run returns
+// a *RunError, so parallel sweeps report exactly which job broke.
 func RunCtx(ctx context.Context, mode Mode, class GPUClass, spec workload.Spec, p Params, opts RunOptions) (RunResult, error) {
+	return runSpec{Mode: mode, Class: class, Spec: spec, Opts: opts}.run(ctx, p)
+}
+
+// run executes the spec's simulation on a fresh System under p, through
+// the Figure 3 lifecycle; the caller resolves the spec's own P (see
+// params).
+func (s runSpec) run(ctx context.Context, p Params) (RunResult, error) {
+	spec, opts := s.Spec, s.Opts
 	fail := func(stage string, err error) (RunResult, error) {
-		return RunResult{}, &RunError{Workload: spec.Name, Mode: mode, Class: class, Stage: stage, Err: err}
+		return RunResult{}, &RunError{Workload: spec.Name, Mode: s.Mode, Class: s.Class, Stage: stage, Err: err}
 	}
-	if p.Trace != "" {
-		// Replay mode: swap the generator for the recorded trace's replay
-		// recipe. Decode failures (corrupt or truncated recordings) surface
-		// here as typed build-stage errors.
-		tr, err := tracerec.Load(tracerec.Resolve(p.Trace, spec.Name))
-		if err != nil {
-			return fail("build", err)
-		}
-		rspec, err := tracerec.ReplaySpec(tr)
-		if err != nil {
-			return fail("build", err)
-		}
-		spec = rspec
-	}
-	// With opts.Shards the system is assembled on (the only) shard of a
-	// sharded engine; the window width is irrelevant with no cross-shard
-	// traffic, any positive lookahead does.
-	var se *sim.ShardedEngine
-	eng := &sim.Engine{}
-	if opts.Shards > 0 {
-		se = sim.NewShardedEngine(1, sim.Microsecond)
-		se.Workers = opts.Shards
-		eng = se.Shard(0)
-	}
-	sys, err := NewSystemWithEngine(eng, mode, class, p)
+	m, err := newMachine(s.Mode, s.Class, p, opts.Shards)
 	if err != nil {
 		return RunResult{}, err
 	}
-	proc, err := sys.OS.NewProcess(spec.Name)
+	sys := m.System
+	if s.attach != nil {
+		s.attach(sys)
+	}
+	pr, stage, err := startProcess(sys, spec.Name, func(proc *hostos.Process) (*accel.Program, error) {
+		return spec.Build(proc, p.Scale)
+	})
 	if err != nil {
-		return fail("start", err)
+		return fail(stage, err)
 	}
-	prog, err := spec.Build(proc, p.Scale)
-	if err != nil {
-		return fail("build", err)
-	}
-
-	// Process initialization on the accelerator (paper Figure 3a).
-	sys.ATS.Activate(sys.Name, proc.ASID())
-	if sys.BC != nil {
-		if err := sys.BC.ProcessStart(proc.ASID()); err != nil {
-			return fail("start", err)
-		}
-	}
-
-	if err := sys.GPU.Launch(prog, proc.ASID()); err != nil {
+	if err := pr.launch(); err != nil {
 		return fail("launch", err)
 	}
 
-	var injector *downgradeInjector
+	var dg *downgrader
 	switch {
 	case opts.FixedDowngrades > 0 && opts.SpreadOver > 0:
-		interval := opts.SpreadOver / sim.Time(opts.FixedDowngrades+1)
-		injector = newDowngradeInjector(sys, proc, interval, opts.FixedDowngrades)
+		dg = newDowngrader(sys, pr.proc)
+		dg.every(sys, opts.SpreadOver/sim.Time(opts.FixedDowngrades+1), opts.FixedDowngrades)
 	case opts.DowngradesPerSec > 0:
-		interval := sim.Time(float64(sim.Second) / opts.DowngradesPerSec)
-		injector = newDowngradeInjector(sys, proc, interval, 0)
-	}
-	if injector != nil {
-		injector.start()
-	}
-	if done := ctx.Done(); done != nil {
-		poll := func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		}
-		if se != nil {
-			se.Interrupt = poll
-		} else {
-			sys.Eng.Interrupt = poll
-		}
+		dg = newDowngrader(sys, pr.proc)
+		dg.every(sys, sim.Time(float64(sim.Second)/opts.DowngradesPerSec), 0)
 	}
 	if opts.Tracer != nil {
 		sys.AttachTracer(opts.Tracer)
@@ -235,30 +216,15 @@ func RunCtx(ctx context.Context, mode Mode, class GPUClass, spec workload.Spec, 
 	if opts.Profiler != nil {
 		sys.AttachProfiler(opts.Profiler)
 	}
-	wallStart := time.Now()
-	if se != nil {
-		se.Run()
-	} else {
-		sys.Eng.Run()
-	}
-	wall := time.Since(wallStart)
-
-	if !sys.GPU.Finished() {
-		// Distinguish an external interruption (cancellation, timeout) from
-		// a genuinely stuck simulation.
-		if err := ctx.Err(); err != nil {
-			return fail("interrupted", err)
-		}
-		return fail("hang", fmt.Errorf("simulation drained with the kernel incomplete"))
-	}
-	if gerr := sys.GPU.Err(); gerr != nil {
-		return fail("abort", gerr)
+	wall := m.run(ctx)
+	if stage, err := pr.drained(ctx); err != nil {
+		return fail(stage, err)
 	}
 
 	res := RunResult{
 		Workload:        spec.Name,
-		Mode:            mode,
-		Class:           class,
+		Mode:            s.Mode,
+		Class:           s.Class,
 		Runtime:         sys.GPU.Runtime(),
 		Cycles:          sys.GPU.Cycles(),
 		Ops:             sys.GPU.OpsDone.Value(),
@@ -282,105 +248,15 @@ func RunCtx(ctx context.Context, mode Mode, class GPUClass, spec workload.Spec, 
 		}
 		res.L2MissRatio = h.L2().HitMiss.MissRatio()
 	}
-	if injector != nil {
-		// A failed restore leaves the workload wedged on read-only pages —
-		// the run's numbers would be nonsense, so it fails rather than
-		// silently under-reporting.
-		if injector.err != nil {
-			return fail("downgrade", fmt.Errorf("%d restore(s) failed; first: %w", injector.restoreErrs, injector.err))
+	if dg != nil {
+		if err := dg.failure(); err != nil {
+			return fail("downgrade", err)
 		}
-		res.Downgrades = injector.count
+		res.Downgrades = dg.count
 	}
-	if sys.BC != nil {
-		res.BCChecks = sys.BC.CrossingChecks()
-		if bcc := sys.BC.Cache(); bcc != nil {
-			res.BCCMissRatio = bcc.CheckHitMiss.MissRatio()
-		}
-	}
+	res.BCChecks, res.BCCMissRatio = sys.borderStats()
 	res.Stats = sys.Metrics.Snapshot()
-	res.Host = HostStats{Wall: wall, Events: sys.Eng.Fired()}
-	if s := wall.Seconds(); s > 0 {
-		res.Host.EventsPerSec = float64(res.Host.Events) / s
-	}
-
-	// Process completion (Figure 3e), then verify the results the program
-	// left in memory.
-	if sys.BC != nil {
-		sys.BC.ProcessComplete(sys.GPU.FinishTime(), proc.ASID())
-	}
-	sys.ATS.Deactivate(sys.Name, proc.ASID())
-	if prog.Verify != nil && !opts.SkipVerify {
-		res.VerifyErr = prog.Verify(proc)
-	}
+	res.Host = hostStats(wall, sys.Eng.Fired())
+	res.VerifyErr = pr.complete(!opts.SkipVerify)
 	return res, nil
-}
-
-// downgradeInjector schedules periodic permission downgrades over a
-// process's writable pages while the GPU runs, at most max times (0 =
-// until the GPU finishes). count and err are valid once the engine has
-// drained: count is the number of downgrades that landed, err the first
-// restore failure (a failed restore strands the workload on read-only
-// pages, so the run must not report results as if nothing happened).
-type downgradeInjector struct {
-	sys      *System
-	proc     *hostos.Process
-	pages    []arch.Virt
-	interval sim.Time
-	max      int
-
-	count       uint64
-	restoreErrs uint64
-	err         error
-}
-
-func newDowngradeInjector(sys *System, proc *hostos.Process, interval sim.Time, max int) *downgradeInjector {
-	if interval == 0 {
-		interval = 1
-	}
-	// Snapshot the writable pages (generation already faulted them in), in
-	// address order, so the injection round-robin — and therefore
-	// Figure 7 — is identical on every run.
-	var pages []arch.Virt
-	proc.ForEachMapped(func(vpn arch.VPN, _ arch.PPN, perm arch.Perm) {
-		if perm.CanWrite() {
-			pages = append(pages, vpn.Base())
-		}
-	})
-	return &downgradeInjector{sys: sys, proc: proc, pages: pages, interval: interval, max: max}
-}
-
-// injectOnce runs one downgrade/restore round on the idx'th page of the
-// round-robin: downgrade RW -> R (shootdown + border flush), then restore
-// so the workload can continue; the restore is an upgrade and incurs no
-// shootdown (paper §3.2.4). Split out from the event-loop scheduling so
-// the restore-failure path is directly testable.
-func (d *downgradeInjector) injectOnce(idx uint64) {
-	v := d.pages[idx%uint64(len(d.pages))]
-	if _, err := d.sys.OS.Protect(d.proc, v, arch.PageSize, arch.PermRead); err == nil {
-		d.count++
-	}
-	if _, err := d.sys.OS.Protect(d.proc, v, arch.PageSize, arch.PermRW); err != nil {
-		d.restoreErrs++
-		if d.err == nil {
-			d.err = fmt.Errorf("restore %#x to RW: %w", uint64(v), err)
-		}
-	}
-}
-
-// start arms the injector on the system's engine. One pre-bound callback
-// rescheduling itself: the payload word is the round-robin page index, so
-// injection runs allocation-free however many downgrades fire.
-func (d *downgradeInjector) start() {
-	if len(d.pages) == 0 {
-		return
-	}
-	var tick sim.EventFunc
-	tick = func(_ sim.Time, idx uint64) {
-		if d.sys.GPU.Finished() || (d.max > 0 && d.count >= uint64(d.max)) {
-			return
-		}
-		d.injectOnce(idx)
-		d.sys.Eng.ScheduleIntoAfter(d.interval, tick, idx+1)
-	}
-	d.sys.Eng.ScheduleIntoAfter(d.interval, tick, 0)
 }

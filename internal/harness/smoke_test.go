@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"bordercontrol/internal/workload"
@@ -16,7 +17,7 @@ func TestSmokeAllModes(t *testing.T) {
 	p := DefaultParams()
 	for _, mode := range Modes() {
 		for _, class := range []GPUClass{HighlyThreaded, ModeratelyThreaded} {
-			res, err := Run(mode, class, spec, p, RunOptions{})
+			res, err := RunCtx(context.Background(), mode, class, spec, p, RunOptions{})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", mode, class, err)
 			}

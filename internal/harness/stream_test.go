@@ -15,47 +15,41 @@ import (
 
 // TestPlanStreamsGroupsByStream: runs share a stream exactly when they
 // share a workload name and Params.Scale; at one worker the start order
-// groups each stream's runs in caller order, streams by first appearance,
-// and a run that replays its own trace file keeps its place with no
-// stream. With more workers each stream's recording run starts workers-1
-// streams ahead, and with more workers than streams every recording run
-// starts first.
+// groups each stream's runs in caller order, streams by first appearance.
+// With more workers each stream's recording run starts workers-1 streams
+// ahead, and with more workers than streams every recording run starts
+// first.
 func TestPlanStreamsGroupsByStream(t *testing.T) {
 	a, _ := workload.ByName("hotspot")
 	b, _ := workload.ByName("nn")
 	p := DefaultParams()
-	scaled, traced := p, p
+	scaled := p
 	scaled.Scale = 2
-	traced.Trace = "recordings"
 	list := []runSpec{
 		{Label: "a/base", Mode: ATSOnly, Spec: a},
 		{Label: "b/base", Mode: ATSOnly, Spec: b},
 		{Label: "a/bcc", Mode: BCBCC, Spec: a},
-		{Label: "a/file", Mode: BCBCC, Spec: a, P: &traced},
 		{Label: "b/bcc", Mode: BCBCC, Spec: b},
 		{Label: "a/x2", Mode: BCBCC, Spec: a, P: &scaled},
 	}
 	for workers, want := range map[int][]int{
-		1: {0, 2, 1, 4, 3, 5},
-		2: {0, 1, 2, 5, 4, 3},
-		3: {0, 1, 5, 2, 4, 3},
-		8: {0, 1, 5, 2, 4, 3},
+		1: {0, 2, 1, 3, 4},
+		2: {0, 1, 2, 4, 3},
+		3: {0, 1, 4, 2, 3},
+		8: {0, 1, 4, 2, 3},
 	} {
 		if _, order := planStreams(p, list, workers); !reflect.DeepEqual(order, want) {
 			t.Errorf("%d workers: start order %v, want %v", workers, order, want)
 		}
 	}
 	cells, _ := planStreams(p, list, 1)
-	if cells[0].st == nil || cells[0].st != cells[2].st || cells[1].st != cells[4].st {
+	if cells[0].st == nil || cells[0].st != cells[2].st || cells[1].st != cells[3].st {
 		t.Error("runs of one stream do not share it")
 	}
-	if cells[0].st == cells[1].st || cells[5].st == nil || cells[5].st == cells[0].st {
+	if cells[0].st == cells[1].st || cells[4].st == nil || cells[4].st == cells[0].st {
 		t.Error("different workloads or scales share a stream")
 	}
-	if cells[3].st != nil {
-		t.Error("a run replaying its own trace file was given a stream")
-	}
-	for i, want := range map[int]int64{0: 2, 1: 2, 5: 1} {
+	for i, want := range map[int]int64{0: 2, 1: 2, 4: 1} {
 		if got := cells[i].st.left.Load(); got != want {
 			t.Errorf("stream of %s counts %d runs, want %d", list[i].Label, got, want)
 		}

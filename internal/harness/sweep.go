@@ -89,26 +89,15 @@ func ValidateCells(cells []SweepCell) error {
 	return nil
 }
 
-// RunSweep executes every cell on a bounded worker pool and returns rows
-// in cell order. jobs bounds host parallelism (0 = GOMAXPROCS); because
-// each cell is an independent deterministic simulation and rows collect in
-// submission order, the returned rows — and anything rendered from them —
-// are byte-identical at any jobs setting.
-func RunSweep(cells []SweepCell, jobs int) ([]SweepRow, error) {
-	return RunSweepCtx(context.Background(), cells, jobs)
-}
-
-// RunSweepCtx is RunSweep with cooperative cancellation. A cell whose
-// replay fails (or whose image verification mismatches) fails the sweep
-// with an error naming the cell.
-func RunSweepCtx(ctx context.Context, cells []SweepCell, jobs int) ([]SweepRow, error) {
-	return RunSweepExec(ctx, Exec{Jobs: jobs}, cells)
-}
-
-// RunSweepExec is RunSweepCtx with the full execution policy of Exec:
-// per-cell timeouts and serialized completion-order progress callbacks in
-// addition to the Jobs bound. The grid is validated (see ValidateCells)
-// before anything runs.
+// RunSweepExec executes every cell on the execution layer of Exec — a
+// bounded worker pool, per-cell timeouts, serialized completion-order
+// progress callbacks — and returns rows in cell order. Each cell is an
+// independent deterministic simulation and rows collect in submission
+// order, so the rows — and anything rendered from them — are
+// byte-identical at any Jobs setting. The grid is validated (see
+// ValidateCells) before anything runs; a cell whose replay fails (or whose
+// image verification mismatches) fails the sweep with an error naming the
+// cell.
 func RunSweepExec(ctx context.Context, ex Exec, cells []SweepCell) ([]SweepRow, error) {
 	if err := ValidateCells(cells); err != nil {
 		return nil, err
@@ -124,7 +113,7 @@ func RunSweepExec(ctx context.Context, ex Exec, cells []SweepCell) ([]SweepRow, 
 // and distills its result into the cell's row. It is the unit of work the
 // worker protocol ships across process boundaries; anything that executes
 // cells through RunCell and merges rows in canonical cell order reproduces
-// RunSweep byte-for-byte.
+// RunSweepExec byte-for-byte.
 func RunCell(ctx context.Context, c SweepCell) (SweepRow, error) {
 	res, err := RunTraceCtx(ctx, c.Mode, c.Class, c.Trace, c.P, RunOptions{Shards: c.Shards})
 	if err != nil {
@@ -199,12 +188,8 @@ func RecordedCells(traces map[string]*tracerec.Trace, names []string, modes []Mo
 					if border != "-" {
 						p.Border = border
 					}
-					cls := "high"
-					if class == ModeratelyThreaded {
-						cls = "mod"
-					}
 					cells = append(cells, SweepCell{
-						Label:  fmt.Sprintf("%s/%s/%s/%s", name, modeSlug(mode), border, cls),
+						Label:  fmt.Sprintf("%s/%s/%s/%s", name, modeSlug(mode), border, classShort(class)),
 						Trace:  tr,
 						Mode:   mode,
 						Class:  class,
@@ -275,4 +260,18 @@ func ParseClassSlug(s string) (GPUClass, error) {
 	default:
 		return 0, fmt.Errorf("harness: unknown GPU class %q (want mod or high)", s)
 	}
+}
+
+// ParseClassList parses a sweep's GPU-class axis: "both" (or empty) is
+// both classes in the paper's order, anything else one class as
+// ParseClassSlug spells it.
+func ParseClassList(s string) ([]GPUClass, error) {
+	if s == "" || s == "both" {
+		return []GPUClass{HighlyThreaded, ModeratelyThreaded}, nil
+	}
+	c, err := ParseClassSlug(s)
+	if err != nil {
+		return nil, fmt.Errorf("harness: unknown GPU classes %q (want both, high or mod)", s)
+	}
+	return []GPUClass{c}, nil
 }

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -31,7 +33,7 @@ func TestSweepDeterminism(t *testing.T) {
 
 	run := func(jobs, shards int) string {
 		cells := RecordedCells(traces, names, modes, borders, classes, DefaultParams(), shards)
-		rows, err := RunSweep(cells, jobs)
+		rows, err := RunSweepExec(context.Background(), Exec{Jobs: jobs}, cells)
 		if err != nil {
 			t.Fatalf("jobs=%d shards=%d: %v", jobs, shards, err)
 		}
@@ -68,7 +70,7 @@ func TestSweepDeterminism(t *testing.T) {
 
 // TestSweepDuplicateLabel: SweepCell.Label is documented "must be unique
 // per grid" — labels are the merge key of the CSV and of the worker
-// protocol, so RunSweep must refuse a duplicate with a typed error instead
+// protocol, so RunSweepExec must refuse a duplicate with a typed error instead
 // of silently corrupting output.
 func TestSweepDuplicateLabel(t *testing.T) {
 	tr, err := traffic.Generate(traffic.Config{Shape: traffic.Bursty, Seed: 1})
@@ -80,18 +82,18 @@ func TestSweepDuplicateLabel(t *testing.T) {
 		{Label: "b", Trace: tr, Mode: BCBCC, Class: ModeratelyThreaded, P: DefaultParams()},
 		{Label: "a", Trace: tr, Mode: BCNoBCC, Class: ModeratelyThreaded, P: DefaultParams()},
 	}
-	_, err = RunSweep(cells, 1)
+	_, err = RunSweepExec(context.Background(), Exec{Jobs: 1}, cells)
 	var dup *DuplicateLabelError
 	if !errors.As(err, &dup) {
-		t.Fatalf("RunSweep on duplicate labels: err = %v, want *DuplicateLabelError", err)
+		t.Fatalf("RunSweepExec on duplicate labels: err = %v, want *DuplicateLabelError", err)
 	}
 	if dup.Label != "a" || dup.First != 0 || dup.Second != 2 {
 		t.Fatalf("DuplicateLabelError = %+v, want {a 0 2}", dup)
 	}
 
 	// A nil trace is refused before anything runs, too.
-	if _, err := RunSweep([]SweepCell{{Label: "x"}}, 1); err == nil {
-		t.Fatal("RunSweep on nil trace: want error")
+	if _, err := RunSweepExec(context.Background(), Exec{Jobs: 1}, []SweepCell{{Label: "x"}}); err == nil {
+		t.Fatal("RunSweepExec on nil trace: want error")
 	}
 }
 
@@ -122,5 +124,38 @@ func TestModeClassSlugs(t *testing.T) {
 	}
 	if _, err := ParseClassSlug("warp"); err == nil {
 		t.Error(`ParseClassSlug("warp"): want error`)
+	}
+}
+
+// TestParseClasses: the class parsers behind every -class/-classes flag
+// and the serve specs. A mistyped class is an error everywhere, never a
+// silent fallback to some GPU.
+func TestParseClasses(t *testing.T) {
+	both := []GPUClass{HighlyThreaded, ModeratelyThreaded}
+	for _, c := range []struct {
+		in      string
+		class   GPUClass // ParseClassSlug; ignored when slugErr
+		slugErr bool
+		list    []GPUClass // ParseClassList; nil when it must fail
+	}{
+		{in: "high", class: HighlyThreaded, list: []GPUClass{HighlyThreaded}},
+		{in: "highly", class: HighlyThreaded, list: []GPUClass{HighlyThreaded}},
+		{in: "mod", class: ModeratelyThreaded, list: []GPUClass{ModeratelyThreaded}},
+		{in: "moderate", class: ModeratelyThreaded, list: []GPUClass{ModeratelyThreaded}},
+		{in: "both", slugErr: true, list: both},
+		{in: "", slugErr: true, list: both},
+		{in: "bogus", slugErr: true},
+		{in: "moderately", slugErr: true},
+		{in: "High", slugErr: true},
+		{in: "high,mod", slugErr: true},
+	} {
+		got, err := ParseClassSlug(c.in)
+		if c.slugErr != (err != nil) || (!c.slugErr && got != c.class) {
+			t.Errorf("ParseClassSlug(%q) = (%v, %v), want class %v, error %v", c.in, got, err, c.class, c.slugErr)
+		}
+		list, err := ParseClassList(c.in)
+		if (c.list == nil) != (err != nil) || !reflect.DeepEqual(list, c.list) {
+			t.Errorf("ParseClassList(%q) = (%v, %v), want %v", c.in, list, err, c.list)
+		}
 	}
 }

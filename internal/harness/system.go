@@ -121,16 +121,6 @@ type Params struct {
 
 	// Scale multiplies workload problem sizes.
 	Scale int
-
-	// Trace, when non-empty, makes Run replay a recorded reference trace
-	// instead of executing the workload's generator: either a directory
-	// holding <workload>.bctrace files (the per-workload recording is
-	// looked up by spec name) or a single trace file. Replay reproduces the
-	// generator run bit-exactly — same address-space layout, same physical
-	// frames, same reference stream — so sweeps over (mode, border,
-	// shards) grids re-decode one recording instead of re-running
-	// generators per cell. See internal/tracerec.
-	Trace string
 }
 
 // DefaultParams returns the Table 3 system.

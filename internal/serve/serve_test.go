@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -49,7 +50,7 @@ func TestServeSweepMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := harness.RunSweep(cells, 0)
+	rows, err := harness.RunSweepExec(context.Background(), harness.Exec{}, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +160,57 @@ func TestServeValidation(t *testing.T) {
 		if _, err := c.Submit(ctx, req); err == nil || !strings.Contains(err.Error(), "400") {
 			t.Errorf("Submit(%+v): err = %v, want 400", req, err)
 		}
+	}
+}
+
+// TestSweepSpecBounds: a sweep spec past any cap, or naming an axis value
+// twice, is refused at validation with an error naming the limit, before
+// a single trace is generated or a cell expanded — a 10^6-seed spec costs
+// a handful of allocations, not gigabytes — and over HTTP it is a 400.
+func TestSweepSpecBounds(t *testing.T) {
+	huge := Request{Type: "sweep", Sweep: &SweepSpec{Seeds: 1_000_000}}
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { err = huge.Validate() })
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("limit of %d", MaxSweepSeeds)) {
+		t.Fatalf("10^6 seeds: err = %v, want the seeds limit", err)
+	}
+	if allocs > 50 {
+		t.Errorf("10^6 seeds: validation made %.0f allocations, so it generated traffic", allocs)
+	}
+	for _, c := range []struct {
+		spec SweepSpec
+		want string
+	}{
+		{SweepSpec{GenSegments: MaxSweepGenSize + 1}, "gen_segments"},
+		{SweepSpec{GenWavefronts: MaxSweepGenSize + 1}, "gen_wavefronts"},
+		{SweepSpec{GenOps: MaxSweepOps + 1}, "gen_ops"},
+		{SweepSpec{Seeds: 100}, "memory operations"}, // default shapes: 4928 ops a seed
+		{SweepSpec{Traffic: []string{"stream"}, GenWavefronts: MaxSweepGenSize, GenOps: MaxSweepOps / 32}, "memory operations"},
+	} {
+		err := Request{Type: "sweep", Sweep: &c.spec}.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%+v: err = %v, want the %s limit", c.spec, err, c.want)
+		}
+	}
+	dup := Request{Type: "sweep", Sweep: &SweepSpec{Traffic: []string{"bursty"}, Modes: make([]string, 100_000)}}
+	for i := range dup.Sweep.Modes {
+		dup.Sweep.Modes[i] = "bc-bcc"
+	}
+	allocs = testing.AllocsPerRun(1, func() { err = dup.Validate() })
+	if err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("10^5 copies of one mode: err = %v, want a duplicate-axis error", err)
+	}
+	if allocs > 50 {
+		t.Errorf("10^5 copies of one mode: validation made %.0f allocations, so it expanded the grid", allocs)
+	}
+	if err := tinySweepRequest().Validate(); err != nil {
+		t.Errorf("tiny sweep refused: %v", err)
+	}
+
+	_, c := startTestServer(t, Options{Version: "test"})
+	_, err = c.Submit(context.Background(), huge)
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "limit") {
+		t.Errorf("submitting 10^6 seeds: err = %v, want a 400 naming the limit", err)
 	}
 }
 

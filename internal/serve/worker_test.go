@@ -84,7 +84,7 @@ func TestSweepFanoutByteIdentical(t *testing.T) {
 		t.Skip("spawns worker subprocesses")
 	}
 	cells := tinyGrid(t)
-	want, err := harness.RunSweep(cells, 0)
+	want, err := harness.RunSweepExec(context.Background(), harness.Exec{}, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSweepFanoutInProcess(t *testing.T) {
 	if len(notes) != len(cells) {
 		t.Errorf("got %d progress notes, want %d", len(notes), len(cells))
 	}
-	// Duplicate labels are refused before anything runs, same as RunSweep.
+	// Duplicate labels are refused before anything runs, same as RunSweepExec.
 	bad := append([]harness.SweepCell{}, cells...)
 	bad[1].Label = bad[0].Label
 	if _, err := SweepFanout(context.Background(), bad, FanoutConfig{}); err == nil {
@@ -181,7 +181,7 @@ func TestRunWorkerRoundTrip(t *testing.T) {
 		}
 		rows[wr.Index] = wr.Row
 	}
-	want, err := harness.RunSweep(cells, 1)
+	want, err := harness.RunSweepExec(context.Background(), harness.Exec{Jobs: 1}, cells)
 	if err != nil {
 		t.Fatal(err)
 	}

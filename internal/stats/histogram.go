@@ -98,30 +98,14 @@ func (h *Histogram) Mean() uint64 {
 }
 
 // Percentile returns the upper bound of the bucket holding the p-th
-// percentile sample (integer p in [0,100]; rank is computed with integer
-// ceiling arithmetic, so the result is exact with respect to the bucket
-// counts and identical on every platform). Returns 0 when empty.
-func (h *Histogram) Percentile(p int) uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := (h.count*uint64(p) + 99) / 100
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			return bucketBound(i)
-		}
-	}
-	return h.max
-}
+// percentile sample (integer p in [0,100]): Permille(10*p) exactly, since
+// both ranks are ⌈count·p/100⌉. Returns 0 when empty.
+func (h *Histogram) Percentile(p int) uint64 { return h.Permille(10 * p) }
 
 // Permille returns the upper bound of the bucket holding the p-th permille
-// sample (integer p in [0,1000]) — the finer-grained sibling of Percentile
-// for deep-tail readings like p999. Permille(990) equals Percentile(99).
+// sample (integer p in [0,1000]; rank is computed with integer ceiling
+// arithmetic, so the result is exact with respect to the bucket counts and
+// identical on every platform). Returns 0 when empty.
 func (h *Histogram) Permille(p int) uint64 {
 	if h.count == 0 {
 		return 0
@@ -202,23 +186,7 @@ func (s HistSnapshot) Mean() uint64 {
 }
 
 // Percentile mirrors Histogram.Percentile on the sparse bucket list.
-func (s HistSnapshot) Percentile(p int) uint64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := (s.Count*uint64(p) + 99) / 100
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for _, b := range s.Buckets {
-		cum += b.Count
-		if cum >= rank {
-			return b.Bound
-		}
-	}
-	return s.Max
-}
+func (s HistSnapshot) Percentile(p int) uint64 { return s.Permille(10 * p) }
 
 // Permille mirrors Histogram.Permille on the sparse bucket list.
 func (s HistSnapshot) Permille(p int) uint64 {

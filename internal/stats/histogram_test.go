@@ -57,6 +57,42 @@ func TestHistogramExact(t *testing.T) {
 	}
 }
 
+// TestPercentileIsPermille: over random histograms, Percentile(p) equals
+// the percentile rank walk it used to run — the sample of rank
+// ⌈count·p/100⌉, at least 1 — and Permille(10·p), on both the live
+// histogram and its snapshot.
+func TestPercentileIsPermille(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		var h Histogram
+		n := rng.Intn(300)
+		for i := 0; i < n; i++ {
+			h.Record(uint64(rng.Int63n(1 << uint(rng.Intn(40)+1))))
+		}
+		snap := h.Snapshot()
+		for p := 0; p <= 100; p++ {
+			var want uint64
+			if n > 0 {
+				rank := max((uint64(n)*uint64(p)+99)/100, 1)
+				var cum uint64
+				for _, b := range snap.Buckets {
+					if cum += b.Count; cum >= rank {
+						want = b.Bound
+						break
+					}
+				}
+			}
+			if got := h.Percentile(p); got != want || got != h.Permille(10*p) {
+				t.Fatalf("trial %d (n=%d): Percentile(%d) = %d, want %d (Permille(%d) = %d)",
+					trial, n, p, got, want, 10*p, h.Permille(10*p))
+			}
+			if got := snap.Percentile(p); got != want {
+				t.Fatalf("trial %d (n=%d): snapshot Percentile(%d) = %d, want %d", trial, n, p, got, want)
+			}
+		}
+	}
+}
+
 // TestHistogramMergeOrderIndependent splits one sample stream into shards,
 // merges them in different orders (both the in-place Histogram merge and
 // the snapshot merge), and requires byte-identical JSON — the property the

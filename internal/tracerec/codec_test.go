@@ -198,22 +198,11 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 	}
 }
 
-func TestLoadCachesByPath(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/sample" + Ext
+// TestFileRoundTrip: WriteFile then ReadFile returns the trace written.
+func TestFileRoundTrip(t *testing.T) {
+	path := t.TempDir() + "/sample" + Ext
 	if err := WriteFile(path, sampleTrace()); err != nil {
 		t.Fatal(err)
-	}
-	a, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("Load did not cache: two decodes of the same path")
 	}
 	got, err := ReadFile(path)
 	if err != nil {
@@ -221,15 +210,5 @@ func TestLoadCachesByPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, sampleTrace()) {
 		t.Error("file round trip mismatch")
-	}
-}
-
-func TestResolve(t *testing.T) {
-	dir := t.TempDir()
-	if got := Resolve(dir, "bfs"); got != dir+"/bfs"+Ext {
-		t.Errorf("dir resolve = %q", got)
-	}
-	if got := Resolve(dir+"/x.bctrace", "bfs"); got != dir+"/x.bctrace" {
-		t.Errorf("file resolve = %q", got)
 	}
 }

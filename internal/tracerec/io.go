@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // Ext is the conventional file extension for encoded traces.
@@ -35,31 +34,4 @@ func ReadFile(path string) (*Trace, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return t, nil
-}
-
-var cache sync.Map // path -> *Trace
-
-// Load is ReadFile behind a process-wide cache, so a sweep running
-// thousands of cells over the same recordings decodes each file once.
-// Callers must treat the returned trace as immutable.
-func Load(path string) (*Trace, error) {
-	if t, ok := cache.Load(path); ok {
-		return t.(*Trace), nil
-	}
-	t, err := ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	got, _ := cache.LoadOrStore(path, t)
-	return got.(*Trace), nil
-}
-
-// Resolve maps a -trace flag value to a concrete file: a directory means
-// "the trace for workload name inside it"; anything else is the file
-// itself.
-func Resolve(path, name string) string {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return filepath.Join(path, name+Ext)
-	}
-	return path
 }

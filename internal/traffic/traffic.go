@@ -63,18 +63,46 @@ type Config struct {
 
 // Generate produces the trace cfg describes.
 func Generate(cfg Config) (*tracerec.Trace, error) {
+	nseg, nwf, nops, err := size(cfg)
+	if err != nil {
+		return nil, err
+	}
 	switch cfg.Shape {
 	case Churn:
-		return genChurn(cfg), nil
+		return genChurn(cfg, nseg, nwf, nops), nil
 	case Bursty:
-		return genBursty(cfg), nil
+		return genBursty(cfg, nwf, nops), nil
 	case Stream:
-		return genStream(cfg), nil
-	case Mix:
-		return genMix(cfg), nil
-	default:
-		return nil, fmt.Errorf("traffic: unknown shape %q (have %v)", cfg.Shape, Shapes())
+		return genStream(cfg, nwf, nops), nil
+	default: // Mix
+		return genMix(cfg, nseg, nwf, nops), nil
 	}
+}
+
+// Ops returns how many memory operations Generate(cfg) emits, without
+// generating anything, so a caller can bound a request before paying for
+// it.
+func Ops(cfg Config) (uint64, error) {
+	nseg, nwf, nops, err := size(cfg)
+	return uint64(nseg) * uint64(nwf) * uint64(nops), err
+}
+
+// size returns the segments, wavefronts per phase and ops per wavefront
+// cfg generates: its knobs, with the shape's default for each zero one.
+// The defaults are small on purpose: a sweep multiplies them by thousands
+// of cells. Only churn and mix emit more than one segment.
+func size(cfg Config) (nseg, nwf, nops int, err error) {
+	switch cfg.Shape {
+	case Churn:
+		return defaulted(cfg.Segments, 12), defaulted(cfg.Wavefronts, 2), defaulted(cfg.Ops, 24), nil
+	case Bursty:
+		return 1, defaulted(cfg.Wavefronts, 4), defaulted(cfg.Ops, 192), nil
+	case Stream:
+		return 1, defaulted(cfg.Wavefronts, 8), defaulted(cfg.Ops, 256), nil
+	case Mix:
+		return defaulted(cfg.Segments, 4), defaulted(cfg.Wavefronts, 4), defaulted(cfg.Ops, 96), nil
+	}
+	return 0, 0, 0, fmt.Errorf("traffic: unknown shape %q (have %v)", cfg.Shape, Shapes())
 }
 
 // rng is a splitmix64 stream — tiny, fast, and stable. Each segment and
@@ -170,8 +198,7 @@ func forEachIndex(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Per-shape defaults. Small on purpose: a sweep multiplies these by
-// thousands of cells.
+// defaulted is v, or the default d when v is not positive.
 func defaulted(v, d int) int {
 	if v > 0 {
 		return v
@@ -183,10 +210,7 @@ func defaulted(v, d int) int {
 // multi-tenant churn scenario. Every segment is a fresh ASID hammering
 // ProcessStart / ProcessComplete and the downgrade-flush path at exit; its
 // handful of wavefronts touch a few pages and die.
-func genChurn(cfg Config) *tracerec.Trace {
-	nseg := defaulted(cfg.Segments, 12)
-	nwf := defaulted(cfg.Wavefronts, 2)
-	nops := defaulted(cfg.Ops, 24)
+func genChurn(cfg Config, nseg, nwf, nops int) *tracerec.Trace {
 	segs := make([]tracerec.Segment, nseg)
 	forEachIndex(nseg, cfg.Workers, func(i int) {
 		r := newRNG(cfg.Seed, uint64(i))
@@ -207,9 +231,7 @@ func genChurn(cfg Config) *tracerec.Trace {
 
 // genBursty emits DMA-like traffic: long back-to-back sequential bursts
 // separated by large compute gaps, alternating read and write bursts.
-func genBursty(cfg Config) *tracerec.Trace {
-	nwf := defaulted(cfg.Wavefronts, 4)
-	nops := defaulted(cfg.Ops, 192)
+func genBursty(cfg Config, nwf, nops int) *tracerec.Trace {
 	l := newLayout()
 	const pages = 64
 	base := l.mmap(pages*arch.PageSize, arch.PermRW, false)
@@ -257,9 +279,7 @@ func genBursty(cfg Config) *tracerec.Trace {
 // genStream emits inference-like traffic: wavefronts stream sequential
 // reads over a huge-page weights region (read-only, shared working set far
 // larger than any L1) with sparse small writes into an activations buffer.
-func genStream(cfg Config) *tracerec.Trace {
-	nwf := defaulted(cfg.Wavefronts, 8)
-	nops := defaulted(cfg.Ops, 256)
+func genStream(cfg Config, nwf, nops int) *tracerec.Trace {
 	l := newLayout()
 	weights := l.mmap(arch.HugePageSize, arch.PermRead, true)
 	acts := l.mmap(8*arch.PageSize, arch.PermRW, false)
@@ -304,10 +324,7 @@ func genStream(cfg Config) *tracerec.Trace {
 // at deterministic simulated times while the benign traffic runs. Probes
 // are the only references outside granted ranges, and they are explicitly
 // flagged as such in the trace.
-func genMix(cfg Config) *tracerec.Trace {
-	nseg := defaulted(cfg.Segments, 4)
-	nwf := defaulted(cfg.Wavefronts, 4)
-	nops := defaulted(cfg.Ops, 96)
+func genMix(cfg Config, nseg, nwf, nops int) *tracerec.Trace {
 	segs := make([]tracerec.Segment, nseg)
 	forEachIndex(nseg, cfg.Workers, func(i int) {
 		r := newRNG(cfg.Seed, 2, uint64(i))

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"bordercontrol/internal/arch"
@@ -108,7 +109,7 @@ func TestLayoutMatchesReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", shape, err)
 		}
-		res, err := harness.RunTrace(harness.BCBCC, harness.ModeratelyThreaded, tr,
+		res, err := harness.RunTraceCtx(context.Background(), harness.BCBCC, harness.ModeratelyThreaded, tr,
 			harness.DefaultParams(), harness.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: replay: %v", shape, err)
@@ -132,5 +133,29 @@ func TestLayoutMatchesReplay(t *testing.T) {
 func TestUnknownShape(t *testing.T) {
 	if _, err := Generate(Config{Shape: "nope"}); err == nil {
 		t.Fatal("unknown shape accepted")
+	}
+}
+
+// TestOpsMatchesGenerate: Ops predicts the op count of what Generate
+// emits, at the shape defaults and at explicit sizes, and refuses an
+// unknown shape like Generate does.
+func TestOpsMatchesGenerate(t *testing.T) {
+	for _, shape := range Shapes() {
+		for _, cfg := range []Config{
+			{Shape: shape, Seed: 3},
+			{Shape: shape, Seed: 3, Segments: 3, Wavefronts: 5, Ops: 7},
+		} {
+			tr, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := Ops(cfg)
+			if err != nil || n != tr.Ops() {
+				t.Errorf("%+v: Ops = %d, %v; generated %d", cfg, n, err, tr.Ops())
+			}
+		}
+	}
+	if _, err := Ops(Config{Shape: "warp"}); err == nil {
+		t.Error("Ops of an unknown shape: want error")
 	}
 }
