@@ -111,11 +111,14 @@ border-matrix-smoke:
 
 # Results smoke: every paper artifact `bctool all` prints must be
 # byte-identical to the checked-in RESULTS.txt — the end-to-end pin on the
-# figures, whichever way their cells are executed.
+# figures, whichever way their cells are executed. `all` must refuse an
+# unknown -border and a -csv request before any simulation runs.
 results-smoke:
 	$(GO) run ./cmd/bctool all -quiet > results-smoke.txt
 	cmp results-smoke.txt RESULTS.txt
 	rm -f results-smoke.txt
+	! $(GO) run ./cmd/bctool all -quiet -border bogus 2>/dev/null
+	! $(GO) run ./cmd/bctool all -quiet -csv 2>/dev/null
 
 # Short coverage-guided runs of the fuzz targets: the border-protocol
 # differential fuzzer, the event-engine ordering fuzzer, the trace codec

@@ -391,13 +391,12 @@ type Config struct {
 	Exec Exec
 }
 
-// Artifact is one rendered evaluation artifact: its text, the wall-clock
-// time it took to regenerate, and (for the simulation-backed artifacts)
-// the merged metrics snapshot of the runs behind it.
+// Artifact is one rendered evaluation artifact: its text and (for the
+// simulation-backed artifacts) the merged metrics snapshot of the runs
+// behind it.
 type Artifact struct {
-	Name    string
-	Text    string
-	Elapsed time.Duration
+	Name string
+	Text string
 	// Stats aggregates the metrics snapshots of the simulations behind
 	// this artifact (empty for the static tables and the security matrix).
 	Stats Snapshot
@@ -406,74 +405,35 @@ type Artifact struct {
 // RunAll regenerates every evaluation artifact — the three tables, the
 // four figures (Figure 4 for both GPU classes) and the security matrix —
 // on the parallel execution layer, returning them in the paper's order.
-// It fails on the first failed job (in submission order), so any broken
-// simulation yields a non-nil error and nil artifacts rather than a
-// silently partial sweep.
+// The figures reduce one grid of simulations (harness.Evaluate). It fails
+// on the first failed job (in submission order), so any broken simulation
+// yields a non-nil error and nil artifacts rather than a silently partial
+// sweep.
 func RunAll(ctx context.Context, cfg Config) ([]Artifact, error) {
 	p := cfg.Params.Normalize()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("bordercontrol: %w", err)
 	}
-	ex := cfg.Exec
-	steps := []struct {
-		name string
-		gen  func() (string, Snapshot, error)
-	}{
-		{"table1", func() (string, Snapshot, error) { return RenderTable1() + "\n", Snapshot{}, nil }},
-		{"table2", func() (string, Snapshot, error) { return RenderTable2() + "\n", Snapshot{}, nil }},
-		{"table3", func() (string, Snapshot, error) { return RenderTable3(p) + "\n", Snapshot{}, nil }},
-		{"fig4", func() (string, Snapshot, error) {
-			var text string
-			var snaps []Snapshot
-			for _, class := range []GPUClass{HighlyThreaded, ModeratelyThreaded} {
-				res, err := Figure4(ctx, ex, class, p)
-				if err != nil {
-					return "", Snapshot{}, err
-				}
-				text += res.Render() + "\n"
-				snaps = append(snaps, res.Stats)
-			}
-			return text, stats.Merge(snaps...), nil
-		}},
-		{"fig5", func() (string, Snapshot, error) {
-			res, err := Figure5(ctx, ex, p)
-			if err != nil {
-				return "", Snapshot{}, err
-			}
-			return res.Render() + "\n", res.Stats, nil
-		}},
-		{"fig6", func() (string, Snapshot, error) {
-			res, err := Figure6(ctx, ex, p)
-			if err != nil {
-				return "", Snapshot{}, err
-			}
-			return res.Render() + "\n", res.Stats, nil
-		}},
-		{"fig7", func() (string, Snapshot, error) {
-			res, err := Figure7(ctx, ex, p)
-			if err != nil {
-				return "", Snapshot{}, err
-			}
-			return res.Render() + "\n", res.Stats, nil
-		}},
-		{"security", func() (string, Snapshot, error) {
-			res, err := SecurityMatrix(ctx, ex, p)
-			if err != nil {
-				return "", Snapshot{}, err
-			}
-			return RenderSecurityMatrix(res), Snapshot{}, nil
-		}},
+	ex := cfg.Exec.toHarness()
+	ev, err := harness.Evaluate(ctx, ex, p)
+	if err != nil {
+		return nil, fmt.Errorf("bordercontrol: %w", err)
 	}
-	var out []Artifact
-	for _, step := range steps {
-		start := time.Now()
-		text, snap, err := step.gen()
-		if err != nil {
-			return nil, fmt.Errorf("bordercontrol: %s: %w", step.name, err)
-		}
-		out = append(out, Artifact{Name: step.name, Text: text, Elapsed: time.Since(start), Stats: snap})
+	sec, err := harness.SecurityMatrix(ctx, ex, p)
+	if err != nil {
+		return nil, fmt.Errorf("bordercontrol: security: %w", err)
 	}
-	return out, nil
+	high, mod := ev.Figure4[0], ev.Figure4[1]
+	return []Artifact{
+		{Name: "table1", Text: RenderTable1() + "\n"},
+		{Name: "table2", Text: RenderTable2() + "\n"},
+		{Name: "table3", Text: RenderTable3(p) + "\n"},
+		{Name: "fig4", Text: high.Render() + "\n" + mod.Render() + "\n", Stats: stats.Merge(high.Stats, mod.Stats)},
+		{Name: "fig5", Text: ev.Figure5.Render() + "\n", Stats: ev.Figure5.Stats},
+		{Name: "fig6", Text: ev.Figure6.Render() + "\n", Stats: ev.Figure6.Stats},
+		{Name: "fig7", Text: ev.Figure7.Render() + "\n", Stats: ev.Figure7.Stats},
+		{Name: "security", Text: RenderSecurityMatrix(sec)},
+	}, nil
 }
 
 // The mechanism-level API: the paper's structures, reusable inside any

@@ -3,6 +3,7 @@ package bordercontrol_test
 import (
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -186,16 +187,16 @@ func TestRunCtxCancelledPublicAPI(t *testing.T) {
 }
 
 func TestRunAllCancelled(t *testing.T) {
-	// A pre-cancelled context: the first simulation sweep fails, the error
-	// names the artifact, and no partial artifact slice leaks out.
+	// A pre-cancelled context: the grid's job list fails, the error names
+	// the grid, and no partial artifact slice leaks out.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	arts, err := bc.RunAll(ctx, bc.Config{})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
-	if !strings.Contains(err.Error(), "fig4") {
-		t.Errorf("error %q does not name the failing artifact", err)
+	if !strings.Contains(err.Error(), "grid") {
+		t.Errorf("error %q does not name the failing step", err)
 	}
 	if arts != nil {
 		t.Errorf("got %d artifacts alongside the error, want nil", len(arts))
@@ -221,15 +222,23 @@ func TestRunAll(t *testing.T) {
 	if len(arts) != len(want) {
 		t.Fatalf("got %d artifacts, want %d", len(arts), len(want))
 	}
+	var text strings.Builder
 	for i, a := range arts {
 		if a.Name != want[i] {
 			t.Errorf("artifact %d = %s, want %s", i, a.Name, want[i])
 		}
-		if a.Text == "" {
-			t.Errorf("artifact %s is empty", a.Name)
-		}
+		text.WriteString(a.Text)
 	}
-	if jobs < 200 {
-		t.Errorf("progress saw %d jobs; the full sweep runs 200+ simulations", jobs)
+	results, err := os.ReadFile("RESULTS.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text.String() != string(results) {
+		t.Errorf("artifacts differ from RESULTS.txt:\n%s", text.String())
+	}
+	// 70 grid cells, 28 Figure 7 injections and 20 security probes: each
+	// distinct simulation runs once.
+	if jobs != 118 {
+		t.Errorf("progress saw %d jobs, want 118", jobs)
 	}
 }

@@ -79,10 +79,12 @@
 // -timeout D (per simulation) and -quiet (suppress progress lines). Any
 // failed job makes bctool exit non-zero.
 //
-// run, figures, adversary and bench accept -border NAME, selecting the
-// protection architecture the BC modes use (`bctool list` names them; the
-// default is the paper's flat Protection Table). `bctool borders` sweeps
-// every registered design regardless.
+// run, replay, the figures, security, all, adversary and bench accept
+// -border NAME, selecting the protection architecture the BC modes use
+// (`bctool list` names them; the default is the paper's flat Protection
+// Table). `bctool borders` sweeps every registered design regardless.
+// The figures and borders accept -csv (or a leading csv operand); all and
+// security refuse it, since the tables and the matrix have no CSV form.
 //
 // Figures, run, adversary and fleet also accept -shards N, which executes
 // each simulation on the sharded conservative-parallel engine with N
@@ -149,12 +151,10 @@ func main() {
 		fmt.Print(bc.RenderTable2())
 	case "table3":
 		fmt.Print(bc.RenderTable3(bc.DefaultParams()))
-	case "fig4", "fig5", "fig6", "fig7", "borders", "security":
+	case "fig4", "fig5", "fig6", "fig7", "borders", "security", "all":
 		err = sweep(ctx, cmd, args)
 	case "adversary":
 		err = adversaryCmd(ctx, args)
-	case "all":
-		err = all(ctx, args)
 	case "run":
 		err = runOne(ctx, args, false)
 	case "record":
@@ -317,15 +317,10 @@ func parseExec(name string, args []string) (execFlags, error) {
 	fs.StringVar(&f.border, "border", "", "border design for the BC modes (see bctool list; default "+bc.DefaultBorderDesign+"); borders sweeps every design regardless")
 	f.obs.register(fs)
 	err := fs.Parse(args)
-	return f, err
-}
-
-// workers reports the effective worker count for the summary line.
-func (f execFlags) workers() int {
-	if f.jobs <= 0 {
-		return runtime.GOMAXPROCS(0)
+	if err == nil && f.csv && (name == "all" || name == "security") {
+		err = fmt.Errorf("%s: no CSV form; the figures and borders export CSV", name)
 	}
-	return f.jobs
+	return f, err
 }
 
 // tracker accumulates per-job statistics and prints progress to stderr.
@@ -349,115 +344,112 @@ func (t *tracker) done(r bc.JobResult) {
 	}
 }
 
-func (f execFlags) exec(t *tracker) bc.Exec {
-	t.quiet = f.quiet
-	ex := bc.Exec{Jobs: f.jobs, Timeout: f.timeout, Progress: t.done, Shards: f.shards}
-	if f.obs.tracePath != "" {
-		ex.Trace = bc.NewTraceSet(f.obs.traceCats)
-	}
-	return ex
-}
-
 func fmtDur(d time.Duration) string {
 	return d.Round(time.Millisecond).String()
 }
 
-// finishObs emits the sweep's stats and trace after the artifact printed.
-func (f execFlags) finishObs(ex bc.Exec, snap bc.Snapshot) error {
-	if err := f.obs.emitStats(snap); err != nil {
-		return err
-	}
-	if ex.Trace != nil {
-		return writeTrace(f.obs.tracePath, ex.Trace)
-	}
-	return nil
-}
-
-// sweep runs one figure or the security matrix on the execution layer.
+// sweep runs one figure, the security matrix, or every artifact (all) on
+// the execution layer, then emits the observability outputs the flags ask
+// for; all ends with a wall-clock and effective-parallelism summary on
+// stderr.
 func sweep(ctx context.Context, cmd string, args []string) error {
 	f, err := parseExec(cmd, args)
 	if err != nil {
 		return err
 	}
-	var t tracker
-	ex := f.exec(&t)
+	t := tracker{quiet: f.quiet}
+	ex := bc.Exec{Jobs: f.jobs, Timeout: f.timeout, Progress: t.done, Shards: f.shards}
+	if f.obs.tracePath != "" {
+		ex.Trace = bc.NewTraceSet(f.obs.traceCats)
+	}
 	p := bc.DefaultParams()
 	if f.border != "" {
 		p.Border = f.border
 	}
-	var snap bc.Snapshot
+	var figs []interface {
+		Render() string
+		CSV() string
+	}
+	var snaps []bc.Snapshot
 	switch cmd {
-	case "fig4":
-		var snaps []bc.Snapshot
-		for _, class := range []bc.GPUClass{bc.HighlyThreaded, bc.ModeratelyThreaded} {
-			res, err := bc.Figure4(ctx, ex, class, p)
-			if err != nil {
-				return err
-			}
-			snaps = append(snaps, res.Stats)
-			if f.csv {
-				fmt.Print(res.CSV())
-			} else {
-				fmt.Println(res.Render())
-			}
-		}
-		snap = bc.MergeSnapshots(snaps...)
-	case "fig5":
-		res, err := bc.Figure5(ctx, ex, p)
+	case "all":
+		start := time.Now()
+		artifacts, err := bc.RunAll(ctx, bc.Config{Params: p, Exec: ex})
 		if err != nil {
 			return err
 		}
-		snap = res.Stats
-		if f.csv {
-			fmt.Print(res.CSV())
-		} else {
-			fmt.Println(res.Render())
+		wall := time.Since(start)
+		for _, a := range artifacts {
+			fmt.Print(a.Text)
+			snaps = append(snaps, a.Stats)
 		}
-	case "fig6":
-		res, err := bc.Figure6(ctx, ex, p)
-		if err != nil {
-			return err
+		parallelism, workers := 0.0, f.jobs
+		if wall > 0 {
+			parallelism = float64(t.busy) / float64(wall)
 		}
-		snap = res.Stats
-		if f.csv {
-			fmt.Print(res.CSV())
-		} else {
-			fmt.Println(res.Render())
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
-	case "fig7":
-		res, err := bc.Figure7(ctx, ex, p)
-		if err != nil {
-			return err
+		fmt.Fprintf(os.Stderr, "\n%d simulations in %s wall (%s of simulation time, %d workers): effective parallelism %.2fx\n",
+			t.jobs, fmtDur(wall), fmtDur(t.busy), workers, parallelism)
+		if t.failed > 0 {
+			return fmt.Errorf("%d of %d jobs failed", t.failed, t.jobs)
 		}
-		snap = res.Stats
-		if f.csv {
-			fmt.Print(res.CSV())
-		} else {
-			fmt.Println(res.Render())
-		}
-	case "borders":
-		var snaps []bc.Snapshot
-		for _, class := range []bc.GPUClass{bc.HighlyThreaded, bc.ModeratelyThreaded} {
-			res, err := bc.FigureBorders(ctx, ex, class, p)
-			if err != nil {
-				return err
-			}
-			snaps = append(snaps, res.Stats)
-			if f.csv {
-				fmt.Print(res.CSV())
-			} else {
-				fmt.Println(res.Render())
-			}
-		}
-		snap = bc.MergeSnapshots(snaps...)
 	case "security":
 		results, err := bc.SecurityMatrix(ctx, ex, p)
 		if err != nil {
 			return err
 		}
 		fmt.Print(bc.RenderSecurityMatrix(results))
+	case "fig4":
+		for _, class := range []bc.GPUClass{bc.HighlyThreaded, bc.ModeratelyThreaded} {
+			res, err := bc.Figure4(ctx, ex, class, p)
+			if err != nil {
+				return err
+			}
+			figs, snaps = append(figs, res), append(snaps, res.Stats)
+		}
+	case "borders":
+		for _, class := range []bc.GPUClass{bc.HighlyThreaded, bc.ModeratelyThreaded} {
+			res, err := bc.FigureBorders(ctx, ex, class, p)
+			if err != nil {
+				return err
+			}
+			figs, snaps = append(figs, res), append(snaps, res.Stats)
+		}
+	case "fig5":
+		res, err := bc.Figure5(ctx, ex, p)
+		if err != nil {
+			return err
+		}
+		figs, snaps = append(figs, res), append(snaps, res.Stats)
+	case "fig6":
+		res, err := bc.Figure6(ctx, ex, p)
+		if err != nil {
+			return err
+		}
+		figs, snaps = append(figs, res), append(snaps, res.Stats)
+	case "fig7":
+		res, err := bc.Figure7(ctx, ex, p)
+		if err != nil {
+			return err
+		}
+		figs, snaps = append(figs, res), append(snaps, res.Stats)
 	}
-	return f.finishObs(ex, snap)
+	for _, fig := range figs {
+		if f.csv {
+			fmt.Print(fig.CSV())
+		} else {
+			fmt.Println(fig.Render())
+		}
+	}
+	if err := f.obs.emitStats(bc.MergeSnapshots(snaps...)); err != nil {
+		return err
+	}
+	if ex.Trace != nil {
+		return writeTrace(f.obs.tracePath, ex.Trace)
+	}
+	return nil
 }
 
 // adversaryCmd runs the seeded sandbox-escape campaigns. The report is a
@@ -507,43 +499,6 @@ func adversaryCmd(ctx context.Context, args []string) error {
 		return fmt.Errorf("sandbox breached — see the reproducing seeds above")
 	}
 	return nil
-}
-
-// all regenerates every artifact and prints a per-artifact wall-clock and
-// effective-parallelism summary to stderr.
-func all(ctx context.Context, args []string) error {
-	f, err := parseExec("all", args)
-	if err != nil {
-		return err
-	}
-	var t tracker
-	ex := f.exec(&t)
-	start := time.Now()
-	artifacts, err := bc.RunAll(ctx, bc.Config{Exec: ex})
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start)
-	var snaps []bc.Snapshot
-	for _, a := range artifacts {
-		fmt.Print(a.Text)
-		snaps = append(snaps, a.Stats)
-	}
-
-	fmt.Fprintf(os.Stderr, "\n%-10s %10s\n", "artifact", "wall")
-	for _, a := range artifacts {
-		fmt.Fprintf(os.Stderr, "%-10s %10s\n", a.Name, fmtDur(a.Elapsed))
-	}
-	parallelism := 0.0
-	if wall > 0 {
-		parallelism = float64(t.busy) / float64(wall)
-	}
-	fmt.Fprintf(os.Stderr, "\n%d simulations in %s wall (%s of simulation time, %d workers): effective parallelism %.2fx\n",
-		t.jobs, fmtDur(wall), fmtDur(t.busy), f.workers(), parallelism)
-	if t.failed > 0 {
-		return fmt.Errorf("%d of %d jobs failed", t.failed, t.jobs)
-	}
-	return f.finishObs(ex, bc.MergeSnapshots(snaps...))
 }
 
 // runOne executes one workload (`bctool run`) or replays one recording

@@ -76,10 +76,6 @@ type TraceEvent struct {
 	// and false for a request check.
 	Insert bool
 	PPN    arch.PPN
-	// Perm is the inserted permission (Insert only).
-	Perm arch.Perm
-	// Kind is the checked access kind (checks only).
-	Kind arch.AccessKind
 }
 
 // Decision is the outcome of a border check.
@@ -379,7 +375,7 @@ func (bc *BorderControl) insert(at sim.Time, ppn arch.PPN, perm arch.Perm) {
 		return
 	}
 	if bc.TraceSink != nil {
-		bc.TraceSink(TraceEvent{Insert: true, PPN: ppn, Perm: perm})
+		bc.TraceSink(TraceEvent{Insert: true, PPN: ppn})
 	}
 	changed := bc.table.Merge(ppn, perm)
 	if bc.bcc != nil {
@@ -421,7 +417,7 @@ func (bc *BorderControl) Check(at sim.Time, asid arch.ASID, addr arch.Phys, kind
 	}
 	ppn := addr.PageOf()
 	if bc.TraceSink != nil {
-		bc.TraceSink(TraceEvent{PPN: ppn, Kind: kind})
+		bc.TraceSink(TraceEvent{PPN: ppn})
 	}
 	// The bounds register is checked before the table is indexed.
 	if !bc.table.InBounds(ppn) {

@@ -515,7 +515,7 @@ func TestTraceSink(t *testing.T) {
 	if len(evs) != 2 || !evs[0].Insert || evs[1].Insert {
 		t.Fatalf("trace = %+v", evs)
 	}
-	if evs[0].PPN != ppn || evs[1].PPN != ppn || evs[1].Kind != arch.Write {
+	if evs[0].PPN != ppn || evs[1].PPN != ppn {
 		t.Errorf("trace contents wrong: %+v", evs)
 	}
 }

@@ -144,7 +144,7 @@ func (rb *RangeBorder) insertRange(at sim.Time, ppn arch.PPN, perm arch.Perm) {
 		return
 	}
 	if rb.TraceSink != nil {
-		rb.TraceSink(TraceEvent{Insert: true, PPN: ppn, Perm: perm})
+		rb.TraceSink(TraceEvent{Insert: true, PPN: ppn})
 	}
 	changed := rb.table.Merge(ppn, perm)
 	if rb.bcc != nil {
@@ -184,7 +184,7 @@ func (rb *RangeBorder) Check(at sim.Time, asid arch.ASID, addr arch.Phys, kind a
 	}
 	ppn := addr.PageOf()
 	if rb.TraceSink != nil {
-		rb.TraceSink(TraceEvent{PPN: ppn, Kind: kind})
+		rb.TraceSink(TraceEvent{PPN: ppn})
 	}
 	if !rb.table.InBounds(ppn) {
 		d := rb.deny(at, asid, addr, kind)

@@ -53,8 +53,7 @@ type runSpec struct {
 	// (FigureBorders varies Params.Border across the jobs of one sweep).
 	P *Params
 	// attach, when non-nil, is called with the freshly assembled System
-	// before the process starts: the hook Figure 6 hangs its border event
-	// sink on.
+	// before the process starts: the hook Figure 6 hangs its observer on.
 	attach func(*System)
 }
 

@@ -147,8 +147,8 @@ func TestFigure6(t *testing.T) {
 	}
 }
 
-// TestFigure6CapturesOnJobList: Figure 6's captures are an ordinary job
-// list, so Exec.Trace collects one timeline per capture cell, and
+// TestFigure6CapturesOnJobList: Figure 6's observed cells are an ordinary
+// grid job list, so Exec.Trace collects one timeline per grid cell, and
 // Exec.Shards runs them sharded with a byte-identical figure and stats
 // snapshot.
 func TestFigure6CapturesOnJobList(t *testing.T) {
@@ -203,12 +203,12 @@ func TestFigure6CapturesOnJobList(t *testing.T) {
 	}
 	var want []string
 	for _, spec := range workload.All() {
-		want = append(want, "fig6/capture/"+spec.Name)
+		want = append(want, "fig6/high/"+spec.Name+"/BC-BCC")
 	}
 	sort.Strings(procs)
 	sort.Strings(want)
 	if !reflect.DeepEqual(procs, want) {
-		t.Errorf("trace processes %v, want one per capture cell %v", procs, want)
+		t.Errorf("trace processes %v, want one per grid cell %v", procs, want)
 	}
 }
 

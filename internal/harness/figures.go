@@ -3,10 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
-	"bordercontrol/internal/exp"
 	"bordercontrol/internal/sim"
 	"bordercontrol/internal/stats"
 	"bordercontrol/internal/workload"
@@ -31,39 +29,119 @@ type Figure4Result struct {
 	Stats stats.Snapshot
 }
 
+// gridKey names one cell of the evaluation grid: a workload on one GPU
+// class under one mode, with no injection (a Figure 4 cell). Figures 4–7
+// reduce grid cells, looked up by key, so one grid can feed them all.
+type gridKey struct {
+	class    GPUClass
+	workload string
+	mode     Mode
+}
+
+// grid holds the results of a set of grid cells.
+type grid map[gridKey]RunResult
+
+// cells returns the results of every workload's cells of one class under
+// the modes, workload-major, in the order their snapshots merge.
+func (g grid) cells(class GPUClass, modes ...Mode) []RunResult {
+	var runs []RunResult
+	for _, spec := range workload.All() {
+		for _, mode := range modes {
+			runs = append(runs, g[gridKey{class, spec.Name, mode}])
+		}
+	}
+	return runs
+}
+
+// gridList is the job list "<name>/<class>/<workload>/<mode>" of every
+// workload's cells on the classes under the modes. Workload i's BC-BCC
+// cell of the highly threaded GPU carries fig6[i], if fig6 is given.
+func gridList(name string, classes []GPUClass, modes []Mode, fig6 []fig6Observer) []runSpec {
+	var list []runSpec
+	for _, class := range classes {
+		for i, spec := range workload.All() {
+			for _, mode := range modes {
+				s := runSpec{
+					Label: name + "/" + classShort(class) + "/" + spec.Name + "/" + shortMode(mode),
+					Mode:  mode, Class: class, Spec: spec,
+				}
+				if fig6 != nil && class == HighlyThreaded && mode == BCBCC {
+					s.attach = fig6[i].attach
+				}
+				list = append(list, s)
+			}
+		}
+	}
+	return list
+}
+
+// runGrid runs a job list whose runs are distinct (class, workload, mode)
+// cells and returns their results by cell.
+func runGrid(ctx context.Context, ex Exec, p Params, list []runSpec) (grid, error) {
+	runs, err := runAll(ctx, ex, p, list)
+	if err != nil {
+		return nil, err
+	}
+	g := make(grid, len(runs))
+	for i, s := range list {
+		g[gridKey{s.Class, s.Spec.Name, s.Mode}] = runs[i]
+	}
+	return g, nil
+}
+
+// Evaluation is Figures 4–7, reduced from one grid.
+type Evaluation struct {
+	Figure4 [2]Figure4Result // highly, then moderately threaded
+	Figure5 Figure5Result
+	Figure6 Figure6Result
+	Figure7 Figure7Result
+}
+
+// Evaluate runs both classes' Figure 4 cells once, with Figure 6's
+// observers, and reduces Figures 4–7 from them; Figure 7's injection wave
+// then runs as a second job list.
+func Evaluate(ctx context.Context, ex Exec, p Params) (Evaluation, error) {
+	var ev Evaluation
+	obs := fig6Observers()
+	g, err := runGrid(ctx, ex, p, gridList("grid", bothClasses(), Modes(), obs))
+	if err != nil {
+		return ev, fmt.Errorf("grid: %w", err)
+	}
+	for i, class := range bothClasses() {
+		if ev.Figure4[i], err = figure4(g, class); err != nil {
+			return ev, err
+		}
+	}
+	ev.Figure5 = figure5(g)
+	ev.Figure6 = figure6(g, obs)
+	if ev.Figure7, err = figure7(ctx, ex, p, g); err != nil {
+		return ev, fmt.Errorf("fig7: %w", err)
+	}
+	return ev, nil
+}
+
+// bothClasses lists the GPU classes in the paper's order.
+func bothClasses() []GPUClass { return []GPUClass{HighlyThreaded, ModeratelyThreaded} }
+
 // Figure4 runs all seven workloads under the baseline and the four safe
 // configurations for the given GPU class on the experiment-execution
 // layer: the 7 workloads x (baseline + 4 safe modes) independent
 // simulations become a job list, and ordered result collection keeps the
 // rendered figure byte-identical to a serial sweep at any parallelism.
 func Figure4(ctx context.Context, ex Exec, class GPUClass, p Params) (Figure4Result, error) {
-	res := Figure4Result{Class: class, GeoMean: make(map[Mode]float64)}
-	specs := workload.All()
-
-	var list []runSpec
-	for _, spec := range specs {
-		list = append(list, runSpec{
-			Label: "fig4/" + classShort(class) + "/" + spec.Name + "/" + shortMode(ATSOnly),
-			Mode:  ATSOnly, Class: class, Spec: spec,
-		})
-		for _, mode := range SafeModes() {
-			list = append(list, runSpec{
-				Label: "fig4/" + classShort(class) + "/" + spec.Name + "/" + shortMode(mode),
-				Mode:  mode, Class: class, Spec: spec,
-			})
-		}
-	}
-	runs, err := runAll(ctx, ex, p, list)
+	g, err := runGrid(ctx, ex, p, gridList("fig4", []GPUClass{class}, Modes(), nil))
 	if err != nil {
-		return res, err
+		return Figure4Result{Class: class}, err
 	}
-	res.Stats = sweepStats(runs)
+	return figure4(g, class)
+}
 
+// figure4 reduces the grid's cells of one class to Figure 4.
+func figure4(g grid, class GPUClass) (Figure4Result, error) {
+	res := Figure4Result{Class: class, GeoMean: make(map[Mode]float64), Stats: sweepStats(g.cells(class, Modes()...))}
 	per := make(map[Mode][]float64)
-	next := 0
-	for _, spec := range specs {
-		base := runs[next]
-		next++
+	for _, spec := range workload.All() {
+		base := g[gridKey{class, spec.Name, ATSOnly}]
 		if base.VerifyErr != nil {
 			return res, fmt.Errorf("harness: %s baseline results wrong: %w", spec.Name, base.VerifyErr)
 		}
@@ -74,8 +152,7 @@ func Figure4(ctx context.Context, ex Exec, class GPUClass, p Params) (Figure4Res
 			Overheads: make(map[Mode]float64),
 		}
 		for _, mode := range SafeModes() {
-			r := runs[next]
-			next++
+			r := g[gridKey{class, spec.Name, mode}]
 			if r.VerifyErr != nil {
 				return res, fmt.Errorf("harness: %s on %v results wrong: %w", spec.Name, mode, r.VerifyErr)
 			}
@@ -155,19 +232,17 @@ type Figure5Result struct {
 // threaded GPU under BC-BCC, on the experiment-execution layer: one job
 // per workload.
 func Figure5(ctx context.Context, ex Exec, p Params) (Figure5Result, error) {
-	var res Figure5Result
-	var list []runSpec
-	for _, spec := range workload.All() {
-		list = append(list, runSpec{
-			Label: "fig5/" + spec.Name,
-			Mode:  BCBCC, Class: HighlyThreaded, Spec: spec,
-		})
-	}
-	runs, err := runAll(ctx, ex, p, list)
+	g, err := runGrid(ctx, ex, p, gridList("fig5", []GPUClass{HighlyThreaded}, []Mode{BCBCC}, nil))
 	if err != nil {
-		return res, err
+		return Figure5Result{}, err
 	}
-	res.Stats = sweepStats(runs)
+	return figure5(g), nil
+}
+
+// figure5 reduces the grid's BC-BCC/high cells to Figure 5.
+func figure5(g grid) Figure5Result {
+	runs := g.cells(HighlyThreaded, BCBCC)
+	res := Figure5Result{Stats: sweepStats(runs)}
 	var rates []float64
 	for _, r := range runs {
 		row := Figure5Row{
@@ -180,7 +255,7 @@ func Figure5(ctx context.Context, ex Exec, p Params) (Figure5Result, error) {
 		rates = append(rates, row.RequestsPerCycle)
 	}
 	res.Average = stats.Mean(rates)
-	return res, nil
+	return res
 }
 
 // Render prints Figure 5 as a text table.
@@ -209,68 +284,21 @@ type Figure6Result struct {
 	Curves map[int][]Figure6Point
 	// PagesPerEntry lists the curve keys in order.
 	PagesPerEntry []int
-	// Stats aggregates the capture runs' metrics snapshots (the geometry
-	// replays are functional and carry no timing).
+	// Stats aggregates the metrics snapshots of the observed runs.
 	Stats stats.Snapshot
 }
 
-// Figure6 replays captured Border Control event traces through BCC models
-// of varying geometry. Traces are captured once per workload from a
-// BC-BCC run (trace-driven BCC simulation, like the paper's sweep); the
-// miss ratio is averaged over the benchmarks. On the experiment-execution
-// layer, the captures are a job list of one run per workload (see
-// captureList), then each BCC geometry's replay is one job (a replay
-// mutates only its own store/table/BCC, so geometries sweep in parallel
-// over the shared read-only traces).
+// Figure6 sweeps BCC geometries over the border event streams of the
+// seven BC-BCC cells of the highly threaded GPU, as the paper's
+// trace-driven sweep does, each cell with a stack-distance observer (see
+// figure6.go); the miss ratio is averaged over the benchmarks.
 func Figure6(ctx context.Context, ex Exec, p Params) (Figure6Result, error) {
-	res := Figure6Result{Curves: make(map[int][]Figure6Point), PagesPerEntry: []int{1, 2, 32, 512}}
-	list, traces := captureList()
-	runs, err := runAll(ctx, ex, p, list)
+	obs := fig6Observers()
+	g, err := runGrid(ctx, ex, p, gridList("fig6", []GPUClass{HighlyThreaded}, []Mode{BCBCC}, obs))
 	if err != nil {
-		return res, err
+		return Figure6Result{}, err
 	}
-	res.Stats = sweepStats(runs)
-
-	type geometry struct {
-		ppe, entries int
-	}
-	var geoms []geometry
-	for _, ppe := range res.PagesPerEntry {
-		for _, entries := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
-			if bccGeometry(entries, ppe).SizeBytes() > 1100 {
-				continue
-			}
-			geoms = append(geoms, geometry{ppe: ppe, entries: entries})
-		}
-	}
-	points, err := exp.Map(ctx, ex.runner(), geoms,
-		func(_ int, g geometry) string {
-			return fmt.Sprintf("fig6/replay/%dx%d", g.entries, g.ppe)
-		},
-		func(_ context.Context, g geometry) (Figure6Point, error) {
-			cfg := bccGeometry(g.entries, g.ppe)
-			var ratios []float64
-			for _, tr := range traces {
-				ratios = append(ratios, replayBCCTrace(tr, cfg, p))
-			}
-			return Figure6Point{
-				Entries:   g.entries,
-				SizeBytes: cfg.SizeBytes(),
-				MissRatio: stats.Mean(ratios),
-			}, nil
-		})
-	if err != nil {
-		return res, err
-	}
-	for i, g := range geoms {
-		res.Curves[g.ppe] = append(res.Curves[g.ppe], points[i])
-	}
-	for _, ppe := range res.PagesPerEntry {
-		sort.Slice(res.Curves[ppe], func(i, j int) bool {
-			return res.Curves[ppe][i].SizeBytes < res.Curves[ppe][j].SizeBytes
-		})
-	}
-	return res, nil
+	return figure6(g, obs), nil
 }
 
 // Render prints Figure 6 as a text table.
@@ -314,83 +342,66 @@ type Figure7Result struct {
 // report overhead(rate) = baseline-overhead + rate * cost, averaged over
 // the benchmark suite, exactly the quantity the paper plots.
 //
-// It runs on the experiment-execution layer in two waves: wave one runs
-// the unsafe baselines and the zero-downgrade runs for every (class, mode,
-// workload) point; wave two runs the injection experiments, whose
+// It runs on the experiment-execution layer in two waves. Wave one is the
+// grid's ATS-only and BC-BCC cells of both classes: the unsafe baselines,
+// which are also ATS-only's zero-downgrade runs, and BC-BCC's
+// zero-downgrade runs. Wave two runs the injection experiments, whose
 // injection schedule depends on the measured zero-downgrade runtime.
 // Within each wave every simulation is independent.
 func Figure7(ctx context.Context, ex Exec, p Params) (Figure7Result, error) {
+	g, err := runGrid(ctx, ex, p, gridList("fig7", bothClasses(), []Mode{ATSOnly, BCBCC}, nil))
+	if err != nil {
+		return Figure7Result{}, err
+	}
+	return figure7(ctx, ex, p, g)
+}
+
+// figure7 runs Figure 7's injection wave over the grid's zero-downgrade
+// cells and reduces both waves to the figure.
+func figure7(ctx context.Context, ex Exec, p Params, g grid) (Figure7Result, error) {
 	res := Figure7Result{Rates: []float64{0, 100, 200, 500, 1000}}
-	classes := []GPUClass{HighlyThreaded, ModeratelyThreaded}
 	modes := []Mode{BCBCC, ATSOnly}
-	specs := workload.All()
 	const injections = 40
 
-	// Wave one: per class, the ATS-only baselines then each mode's
-	// zero-downgrade runs, in the serial sweep's order.
-	var wave1 []runSpec
-	for _, class := range classes {
-		for _, spec := range specs {
-			wave1 = append(wave1, runSpec{
-				Label: "fig7/" + classShort(class) + "/base/" + spec.Name,
-				Mode:  ATSOnly, Class: class, Spec: spec,
-			})
-		}
-		for _, mode := range modes {
-			for _, spec := range specs {
-				wave1 = append(wave1, runSpec{
-					Label: "fig7/" + classShort(class) + "/zero/" + spec.Name + "/" + shortMode(mode),
-					Mode:  mode, Class: class, Spec: spec,
-				})
-			}
-		}
-	}
-	runs1, err := runAll(ctx, ex, p, wave1)
-	if err != nil {
-		return res, err
-	}
-	perClass := len(specs) * (1 + len(modes))
-	base := func(ci, si int) RunResult { return runs1[ci*perClass+si] }
-	zero := func(ci, mi, si int) RunResult {
-		return runs1[ci*perClass+(1+mi)*len(specs)+si]
-	}
-
-	// Wave two: the injection runs, spread over each measured runtime.
+	// Wave one's snapshots merge per class as the serial sweep ran them:
+	// the ATS-only baselines, then each mode's zero-downgrade runs.
+	var wave1 []RunResult
 	var wave2 []runSpec
-	for ci, class := range classes {
-		for mi, mode := range modes {
-			for si, spec := range specs {
+	for _, class := range bothClasses() {
+		wave1 = append(wave1, g.cells(class, ATSOnly)...)
+		for _, mode := range modes {
+			wave1 = append(wave1, g.cells(class, mode)...)
+			for _, spec := range workload.All() {
 				wave2 = append(wave2, runSpec{
 					Label: "fig7/" + classShort(class) + "/inject/" + spec.Name + "/" + shortMode(mode),
 					Mode:  mode, Class: class, Spec: spec,
 					Opts: RunOptions{
 						FixedDowngrades: injections,
-						SpreadOver:      zero(ci, mi, si).Runtime,
+						SpreadOver:      g[gridKey{class, spec.Name, mode}].Runtime,
 					},
 				})
 			}
 		}
 	}
-	runs2, err := runAll(ctx, ex, p, wave2)
+	inj, err := runGrid(ctx, ex, p, wave2)
 	if err != nil {
 		return res, err
 	}
-	res.Stats = stats.Merge(sweepStats(runs1), sweepStats(runs2))
-	inject := func(ci, mi, si int) RunResult {
-		return runs2[(ci*len(modes)+mi)*len(specs)+si]
-	}
 
-	for ci, class := range classes {
-		for mi, mode := range modes {
+	var injected []RunResult // in wave two's order
+	for _, class := range bothClasses() {
+		for _, mode := range modes {
 			var zeroOvs, costsSec []float64
-			for si, spec := range specs {
-				z, inj := zero(ci, mi, si), inject(ci, mi, si)
-				if inj.VerifyErr != nil {
-					return res, fmt.Errorf("harness: fig7 %s %v: %w", spec.Name, mode, inj.VerifyErr)
+			for _, spec := range workload.All() {
+				z, r := g[gridKey{class, spec.Name, mode}], inj[gridKey{class, spec.Name, mode}]
+				injected = append(injected, r)
+				if r.VerifyErr != nil {
+					return res, fmt.Errorf("harness: fig7 %s %v: %w", spec.Name, mode, r.VerifyErr)
 				}
-				zeroOvs = append(zeroOvs, float64(z.Cycles)/float64(base(ci, si).Cycles)-1)
-				if inj.Downgrades > 0 {
-					perDowngrade := float64(inj.Runtime-z.Runtime) / float64(inj.Downgrades)
+				base := g[gridKey{class, spec.Name, ATSOnly}]
+				zeroOvs = append(zeroOvs, float64(z.Cycles)/float64(base.Cycles)-1)
+				if r.Downgrades > 0 {
+					perDowngrade := float64(r.Runtime-z.Runtime) / float64(r.Downgrades)
 					// Cost as a fraction of a second of baseline runtime:
 					// overhead contribution per (downgrade/second).
 					costsSec = append(costsSec, perDowngrade/float64(sim.Second))
@@ -411,6 +422,7 @@ func Figure7(ctx context.Context, ex Exec, p Params) (Figure7Result, error) {
 			}
 		}
 	}
+	res.Stats = stats.Merge(sweepStats(wave1), sweepStats(injected))
 	return res, nil
 }
 

@@ -177,16 +177,6 @@ func TestUnknownModePanicsNewSystem(t *testing.T) {
 	}
 }
 
-func TestFigure6GeometryHelpers(t *testing.T) {
-	cfg := bccGeometry(64, 512)
-	if cfg.Entries != 64 || cfg.PagesPerEntry != 512 {
-		t.Error("geometry helper wrong")
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCSVExports(t *testing.T) {
 	f4 := Figure4Result{
 		Class: HighlyThreaded,

@@ -87,6 +87,26 @@ func TestPlanStreamsLeadsRecordings(t *testing.T) {
 	}
 }
 
+// TestEvaluateGridRecordsEachStreamOnce: Evaluate's grid is one job list
+// of both classes' 70 Figure 4 cells, so it plans the seven workload
+// streams once each, ten cells to a stream.
+func TestEvaluateGridRecordsEachStreamOnce(t *testing.T) {
+	list := gridList("grid", bothClasses(), Modes(), fig6Observers())
+	cells, _ := planStreams(DefaultParams(), list, 2)
+	runs := map[*stream]int{}
+	for _, c := range cells {
+		runs[c.st]++
+	}
+	if len(cells) != 70 || len(runs) != len(workload.All()) {
+		t.Fatalf("grid of %d cells plans %d streams, want 70 cells and %d streams", len(cells), len(runs), len(workload.All()))
+	}
+	for st, n := range runs {
+		if n != 10 {
+			t.Errorf("stream %s has %d cells, want 10", st.spec.Name, n)
+		}
+	}
+}
+
 // TestRunAllStreamsMatchLive: a job list that interleaves two streams,
 // several runs each, executes concurrently (run it under -race) and every
 // result equals a live run of the same cell, in the caller's slot. Progress

@@ -47,14 +47,24 @@ func (e jobEnv) note(format string, args ...any) {
 	}
 }
 
-// spec is what every job type implements: validation at submission time,
-// then execution to a rendered text artifact plus the run's metrics
-// snapshot (merged daemon-wide and re-exported on /v1/metrics). The
-// snapshot is observation only — the artifact never depends on it.
+// spec is what every job type implements: validation at submission
+// time, which generates nothing, and a plan at execution, which does the
+// job's up-front work once. The plan returns the content hash of every
+// input trace, which joins the artifact's cache key, and the job's run:
+// the artifact plus a metrics snapshot (merged daemon-wide, re-exported on
+// /v1/metrics) that the artifact never depends on.
 type spec interface {
 	validate() error
-	run(ctx context.Context, env jobEnv) (artifact string, snap stats.Snapshot, err error)
+	plan() (traceHashes []string, run runFunc, err error)
 }
+
+type runFunc func(ctx context.Context, env jobEnv) (artifact string, snap stats.Snapshot, err error)
+
+// Runs, adversary campaigns and fleets read no input traces, so their
+// plan is their run.
+func (s *RunSpec) plan() ([]string, runFunc, error)       { return nil, s.run, nil }
+func (s *AdversarySpec) plan() ([]string, runFunc, error) { return nil, s.run, nil }
+func (s *FleetSpec) plan() ([]string, runFunc, error)     { return nil, s.run, nil }
 
 // Validate checks the request is well-formed: a known type with exactly
 // its spec present and valid. It is called at submission (HTTP 400), so
@@ -166,11 +176,11 @@ func (s *RunSpec) run(ctx context.Context, env jobEnv) (string, stats.Snapshot, 
 	return art, res.Stats, nil
 }
 
-// Sweep-spec caps. Validate generates and hashes every trace of a sweep
-// inside the submission request, before the queue bound applies, so a spec
-// past any cap is refused first, with nothing generated. The costliest
-// spec inside the caps (all four shapes, 256 seeds, 64 segments each)
-// validates in about 0.14 s and allocates about 62 MB on a 2-CPU Xeon
+// Sweep-spec caps. Validate refuses a spec past any cap at submission,
+// with nothing generated; the executor then generates and hashes a
+// sweep's traces once, in its plan. One of the costliest specs inside the
+// caps (all four shapes, 256 seeds, 64 segments, wavefronts of 7 ops)
+// plans in about 0.14 s and allocates about 79 MB on a 2-CPU Xeon
 // @ 2.10 GHz.
 const (
 	// MaxSweepSeeds bounds SweepSpec.Seeds.
@@ -214,16 +224,18 @@ type SweepSpec struct {
 }
 
 func (s *SweepSpec) validate() error {
-	_, _, err := s.plan()
+	_, _, err := s.cells(false)
 	return err
 }
 
-// plan expands the spec into the labelled cell grid plus the
+// cells expands the spec into the labelled cell grid plus the
 // content-hash of every trace in name order (the cache key's trace
 // component). It mirrors `bctool sweep`: shapes x seeds generate traces
 // named "<shape>-s<seed>", then RecordedCells crosses them with the
-// mode/border/class axes over DefaultParams.
-func (s *SweepSpec) plan() ([]harness.SweepCell, []string, error) {
+// mode/border/class axes over DefaultParams. It first checks everything
+// that needs no trace — the caps, the mode slugs, the border names, the
+// class list and the shards — and without generate it stops there.
+func (s *SweepSpec) cells(generate bool) ([]harness.SweepCell, []string, error) {
 	shapes := traffic.Shapes()
 	if len(s.Traffic) > 0 {
 		shapes = s.Traffic
@@ -232,31 +244,6 @@ func (s *SweepSpec) plan() ([]harness.SweepCell, []string, error) {
 	if err := s.bound(shapes, seeds); err != nil {
 		return nil, nil, err
 	}
-	traces := map[string]*tracerec.Trace{}
-	var names []string
-	for _, shape := range shapes {
-		for seed := 1; seed <= seeds; seed++ {
-			tr, err := traffic.Generate(traffic.Config{
-				Shape: shape, Seed: uint64(seed),
-				Segments: s.GenSegments, Wavefronts: s.GenWavefronts, Ops: s.GenOps,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			name := fmt.Sprintf("%s-s%d", shape, seed)
-			traces[name] = tr
-			names = append(names, name)
-		}
-	}
-	hashes := make([]string, 0, len(names))
-	for _, name := range names {
-		h, err := traces[name].Hash()
-		if err != nil {
-			return nil, nil, err
-		}
-		hashes = append(hashes, fmt.Sprintf("%x", h))
-	}
-
 	modes := []harness.Mode{harness.ATSOnly, harness.FullIOMMU, harness.CAPILike, harness.BCNoBCC, harness.BCBCC}
 	if len(s.Modes) > 0 {
 		modes = modes[:0]
@@ -284,7 +271,31 @@ func (s *SweepSpec) plan() ([]harness.SweepCell, []string, error) {
 	if s.Shards < 0 {
 		return nil, nil, fmt.Errorf("serve: negative shards")
 	}
+	if !generate {
+		return nil, nil, nil
+	}
 
+	traces := map[string]*tracerec.Trace{}
+	var names, hashes []string
+	for _, shape := range shapes {
+		for seed := 1; seed <= seeds; seed++ {
+			tr, err := traffic.Generate(traffic.Config{
+				Shape: shape, Seed: uint64(seed),
+				Segments: s.GenSegments, Wavefronts: s.GenWavefronts, Ops: s.GenOps,
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			h, err := tr.Hash()
+			if err != nil {
+				return nil, nil, err
+			}
+			name := fmt.Sprintf("%s-s%d", shape, seed)
+			traces[name] = tr
+			names = append(names, name)
+			hashes = append(hashes, fmt.Sprintf("%x", h))
+		}
+	}
 	cells := harness.RecordedCells(traces, names, modes, borders, classes, harness.DefaultParams(), s.Shards)
 	if err := harness.ValidateCells(cells); err != nil {
 		return nil, nil, err
@@ -346,33 +357,37 @@ func designKnown(name string) bool {
 	return false
 }
 
-func (s *SweepSpec) run(ctx context.Context, env jobEnv) (string, stats.Snapshot, error) {
-	cells, _, err := s.plan()
+// plan generates and hashes the sweep's traces, once per job; the run
+// executes the planned cells.
+func (s *SweepSpec) plan() ([]string, runFunc, error) {
+	cells, hashes, err := s.cells(true)
 	if err != nil {
-		return "", stats.Snapshot{}, err
+		return nil, nil, err
 	}
-	workers := s.Workers
-	if workers == 0 {
-		workers = env.workers
-	}
-	if workers < 0 {
-		workers = 0
-	}
-	env.note("sweep: %d cells, workers=%d", len(cells), workers)
-	rows, err := SweepFanout(ctx, cells, FanoutConfig{
-		Workers: workers, Jobs: env.jobs,
-		Argv: env.argv, Env: env.env,
-		Progress:      env.progress,
-		OnWorkerStart: env.workerStart,
-		OnWorkerExit:  env.workerExit,
-	})
-	if err != nil {
-		return "", stats.Snapshot{}, err
-	}
-	if s.CSV {
-		return harness.SweepCSV(rows), sweepRowStats(rows), nil
-	}
-	return harness.RenderSweep(rows), sweepRowStats(rows), nil
+	return hashes, func(ctx context.Context, env jobEnv) (string, stats.Snapshot, error) {
+		workers := s.Workers
+		if workers == 0 {
+			workers = env.workers
+		}
+		if workers < 0 {
+			workers = 0
+		}
+		env.note("sweep: %d cells, workers=%d", len(cells), workers)
+		rows, err := SweepFanout(ctx, cells, FanoutConfig{
+			Workers: workers, Jobs: env.jobs,
+			Argv: env.argv, Env: env.env,
+			Progress:      env.progress,
+			OnWorkerStart: env.workerStart,
+			OnWorkerExit:  env.workerExit,
+		})
+		if err != nil {
+			return "", stats.Snapshot{}, err
+		}
+		if s.CSV {
+			return harness.SweepCSV(rows), sweepRowStats(rows), nil
+		}
+		return harness.RenderSweep(rows), sweepRowStats(rows), nil
+	}, nil
 }
 
 // sweepRowStats synthesizes a metrics snapshot from the merged sweep rows.

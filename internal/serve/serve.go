@@ -321,13 +321,13 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 		return
 	}
 
-	// Artifact identity: for sweeps the input traces are part of it, so
-	// the plan (cheap, deterministic) runs first to hash them.
-	var traceHashes []string
-	if j.Req.Sweep != nil {
-		if _, hashes, perr := j.Req.Sweep.plan(); perr == nil {
-			traceHashes = hashes
-		}
+	// Artifact identity: a sweep's input traces are part of it, so the job
+	// is planned first, once: the plan hashes the traces for the key, and
+	// the run executes the cells it planned.
+	traceHashes, run, err := sp.plan()
+	if err != nil {
+		s.finish(j, "", stats.Snapshot{}, err, start)
+		return
 	}
 	key, err := cacheKey(s.version, j.Req, traceHashes)
 	if err != nil {
@@ -366,7 +366,7 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 			}
 		},
 	}
-	art, snap, err := sp.run(jctx, env)
+	art, snap, err := run(jctx, env)
 	if err == nil {
 		s.cache.put(key, art)
 	}

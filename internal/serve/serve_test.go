@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -46,7 +47,7 @@ func TestServeSweepMatchesInProcess(t *testing.T) {
 	ctx := context.Background()
 	req := tinySweepRequest()
 
-	cells, _, err := req.Sweep.plan()
+	cells, _, err := req.Sweep.cells(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +108,32 @@ func TestServeSweepMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestValidateGeneratesNothing: validating the costliest sweep spec
+// inside the caps generates none of its traces, so a submission costs the
+// HTTP handler under 1 MB before the queue bound applies. Planning the
+// same spec allocates tens of megabytes.
+func TestValidateGeneratesNothing(t *testing.T) {
+	req := Request{Type: "sweep", Sweep: &SweepSpec{
+		Seeds: MaxSweepSeeds, GenSegments: MaxSweepGenSize, GenWavefronts: 1, GenOps: 7,
+	}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := req.Validate()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("the costliest spec inside the caps is refused: %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("Validate allocated %d bytes, want under 1 MB", alloc)
+	}
+}
+
 // TestServeWorkersDontChangeCacheKey: SweepSpec.Workers is execution
 // shape, not artifact identity — a request differing only in Workers hits
 // the same cache entry.
 func TestServeWorkersDontChangeCacheKey(t *testing.T) {
 	req := tinySweepRequest()
-	_, hashes, err := req.Sweep.plan()
+	hashes, _, err := req.Sweep.plan()
 	if err != nil {
 		t.Fatal(err)
 	}
