@@ -159,11 +159,14 @@ sweep-smoke:
 	rm -f sweep-smoke-1.txt sweep-smoke-4.txt
 
 # Serve smoke: the experiment service must produce the same bytes as the
-# local CLI. One daemon per worker count (1, 2, 4 subprocesses) serves the
+# local CLI. One daemon per worker count (1, 2, 4 processes) serves the
 # same sweep grid; each artifact is byte-compared against the in-process
 # `bctool sweep` CSV. A second submission to the last daemon must be a
 # cache hit (no re-execution, logged on stderr) with identical bytes.
+# Each daemon keeps its warm workers as children between jobs, and none of
+# them may outlive the daemon's exit on SIGTERM.
 SERVE_SMOKE_AXES = -traffic bursty,stream -seeds 1 -modes bc-nobcc,bc-bcc -borders flat -classes moderate -csv
+SERVE_SMOKE_REAPED = for k in $$kids; do if kill -0 $$k 2>/dev/null; then echo "serve-smoke: worker $$k outlived the daemon"; exit 1; fi; done
 serve-smoke:
 	$(GO) build -o serve-smoke-bctool ./cmd/bctool
 	./serve-smoke-bctool sweep $(SERVE_SMOKE_AXES) -quiet > serve-smoke-local.csv
@@ -172,7 +175,10 @@ serve-smoke:
 		./serve-smoke-bctool submit -addr http://127.0.0.1:18346 -wait 10s -quiet \
 			sweep $(SERVE_SMOKE_AXES) > serve-smoke-$$w.csv || { kill $$pid; exit 1; }; \
 		cmp serve-smoke-local.csv serve-smoke-$$w.csv || { kill $$pid; exit 1; }; \
+		kids=$$(ps -o pid= --ppid $$pid); \
+		test $$(echo $$kids | wc -w) -eq $$w || { echo "serve-smoke: $$w workers wanted, daemon children: $$kids"; kill $$pid; exit 1; }; \
 		kill $$pid; wait $$pid; test $$? -eq 130 || exit 1; \
+		$(SERVE_SMOKE_REAPED); \
 	done
 	./serve-smoke-bctool serve -addr 127.0.0.1:18346 -workers 2 -quiet & pid=$$!; \
 	./serve-smoke-bctool submit -addr http://127.0.0.1:18346 -wait 10s -quiet \
@@ -181,7 +187,10 @@ serve-smoke:
 		sweep $(SERVE_SMOKE_AXES) > serve-smoke-b.csv 2>serve-smoke-b.err || { kill $$pid; exit 1; }; \
 	grep -q "cache hit" serve-smoke-b.err || { kill $$pid; exit 1; }; \
 	cmp serve-smoke-a.csv serve-smoke-b.csv || { kill $$pid; exit 1; }; \
-	kill $$pid; wait $$pid; test $$? -eq 130
+	kids=$$(ps -o pid= --ppid $$pid); \
+	test -n "$$kids" || { kill $$pid; exit 1; }; \
+	kill $$pid; wait $$pid; test $$? -eq 130 || exit 1; \
+	$(SERVE_SMOKE_REAPED)
 	rm -f serve-smoke-bctool serve-smoke-local.csv serve-smoke-1.csv serve-smoke-2.csv serve-smoke-4.csv serve-smoke-a.csv serve-smoke-b.csv serve-smoke-b.err
 
 # Telemetry smoke: the fleet observability plane end to end. A daemon

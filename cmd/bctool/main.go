@@ -43,9 +43,9 @@
 //	                                       run the experiment service: an
 //	                                       HTTP job queue with an artifact
 //	                                       cache; sweep grids fan out over
-//	                                       `bctool worker` subprocesses with
-//	                                       byte-identical artifacts at any
-//	                                       worker count
+//	                                       warm `bctool worker` processes
+//	                                       with byte-identical artifacts at
+//	                                       any worker count
 //	bctool submit [-addr URL] [-wait D] run|sweep|adversary|fleet [flags]
 //	                                       submit a job to a running service,
 //	                                       stream its progress to stderr and
@@ -64,8 +64,9 @@
 //	                                       thresholds; exits non-zero on any
 //	                                       drift or missing cell
 //	bctool worker                          internal: sweep-cell executor
-//	                                       spawned by serve (cells on stdin,
-//	                                       rows on stdout)
+//	                                       spawned by serve (cell lists on
+//	                                       stdin, rows on stdout, until
+//	                                       stdin closes)
 //	bctool profile [-folded FILE] [-pprof FILE]
 //	                                       simulated-time profile of the
 //	                                       bench matrix (folded stacks or a

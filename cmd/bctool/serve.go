@@ -1,6 +1,7 @@
 // The experiment-service commands: `bctool serve` runs the HTTP daemon,
 // `bctool submit` is its client, `bctool worker` is the internal
-// sweep-cell executor serve spawns per shard of a fanned-out grid.
+// sweep-cell executor serve keeps warm in a pool and hands one share of
+// each fanned-out grid.
 
 package main
 
@@ -50,11 +51,11 @@ func buildLogger(level string) (*slog.Logger, error) {
 // serveCmd runs the experiment service until the context is cancelled
 // (SIGINT/SIGTERM), then shuts down gracefully: the HTTP listener drains,
 // the running job is cancelled cooperatively, queued jobs are marked
-// cancelled.
+// cancelled, and every worker process is reaped before it returns.
 func serveCmd(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8373", "listen address")
-	workers := fs.Int("workers", 0, "worker subprocesses per sweep job (0 = in-process); artifacts are byte-identical at any setting")
+	workers := fs.Int("workers", 0, "worker processes a sweep job fans out to, kept warm between jobs (0 = in-process); artifacts are byte-identical at any setting")
 	jobs := fs.Int("jobs", 0, "host parallelism within a job or worker (0 = all cores)")
 	queue := fs.Int("queue", 0, "job queue depth (0 = default 32); beyond it submissions get 503")
 	cacheSize := fs.Int("cache-size", 0, "artifact cache entries (0 = default 128, negative disables)")
@@ -107,8 +108,9 @@ func serveCmd(ctx context.Context, args []string) error {
 	}
 }
 
-// workerCmd is the internal protocol endpoint `serve` spawns: one JSON
-// cell-list request on stdin, NDJSON rows on stdout, logs on stderr.
+// workerCmd is the internal protocol endpoint `serve` spawns: a stream of
+// JSON cell-list requests on stdin, each answered on stdout by NDJSON rows
+// and an end record, logs on stderr. It exits when stdin closes.
 func workerCmd(ctx context.Context) error {
 	return serve.RunWorker(ctx, os.Stdin, os.Stdout)
 }
@@ -221,7 +223,7 @@ func buildRequest(typ string, args []string) (serve.Request, error) {
 		classes := fs.String("classes", "both", "GPU classes: high, moderate, or both")
 		shards := fs.Int("shards", 0, "sharded-engine workers per cell")
 		csv := fs.Bool("csv", false, "emit CSV instead of a text table")
-		workers := fs.Int("workers", 0, "worker subprocesses (0 = daemon default, negative = in-process)")
+		workers := fs.Int("workers", 0, fmt.Sprintf("worker processes (0 = daemon default, negative = in-process, at most %d)", serve.MaxSweepWorkers))
 		if err := fs.Parse(args); err != nil {
 			return serve.Request{}, err
 		}

@@ -10,7 +10,7 @@ import (
 // /v1/jobs does and validates them. Validation must never panic, whatever
 // the body, and a sweep it accepts must sit inside the sweep caps — the
 // bound that keeps a submission from generating unbounded traffic before
-// the queue bound applies.
+// the queue bound applies, or from starting unbounded worker processes.
 func FuzzRequestValidate(f *testing.F) {
 	for _, body := range []string{
 		`{"type":"run","run":{"workload":"bfs","mode":"bc-bcc","class":"high"}}`,
@@ -22,6 +22,7 @@ func FuzzRequestValidate(f *testing.F) {
 		`{"type":"fleet","fleet":{"tenants":4,"class":"mod","churn_ps":-1}}`,
 		`{"type":"sweep","run":{},"sweep":{}}`,
 		`not json`,
+		`{"type":"sweep","sweep":{"seeds":256,"gen_segments":1,"gen_wavefronts":1,"gen_ops":1,"workers":100000}}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -35,7 +36,8 @@ func FuzzRequestValidate(f *testing.F) {
 		}
 		s := req.Sweep
 		if s.Seeds > MaxSweepSeeds || s.GenSegments > MaxSweepGenSize ||
-			s.GenWavefronts > MaxSweepGenSize || s.GenOps > MaxSweepOps {
+			s.GenWavefronts > MaxSweepGenSize || s.GenOps > MaxSweepOps ||
+			s.Workers > MaxSweepWorkers {
 			t.Fatalf("accepted a sweep past the caps: %+v", *s)
 		}
 	})

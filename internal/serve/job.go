@@ -29,16 +29,13 @@ type Request struct {
 }
 
 // jobEnv is the execution context the server hands a spec: host
-// parallelism, the sweep fan-out configuration, a progress sink, and the
-// worker-lifecycle hooks feeding the daemon's telemetry.
+// parallelism, the default sweep fan-out and the daemon's worker pool, and
+// a progress sink.
 type jobEnv struct {
-	jobs        int
-	workers     int
-	argv        []string
-	env         []string
-	progress    func(msg string)
-	workerStart func(worker, cells int)
-	workerExit  func(worker int, err error)
+	jobs     int
+	workers  int
+	pool     *workerPool
+	progress func(msg string)
 }
 
 func (e jobEnv) note(format string, args ...any) {
@@ -190,6 +187,9 @@ const (
 	// MaxSweepOps bounds GenOps, and the memory operations of all a
 	// sweep's traces together.
 	MaxSweepOps = 1 << 18
+	// MaxSweepWorkers bounds SweepSpec.Workers, the worker processes one
+	// job may start.
+	MaxSweepWorkers = 64
 )
 
 // SweepSpec executes a synthetic-traffic replay grid — the daemon's
@@ -211,9 +211,9 @@ type SweepSpec struct {
 	// CSV selects the CSV rendering instead of the text table.
 	CSV bool `json:"csv,omitempty"`
 	// Workers overrides the daemon's worker-process fan-out for this job:
-	// 0 = daemon default, negative = force in-process. Execution shape
-	// only — the artifact is byte-identical at any value, and the cache
-	// key ignores it.
+	// 0 = daemon default, negative = force in-process, at most
+	// MaxSweepWorkers. Execution shape only — the artifact is
+	// byte-identical at any value, and the cache key ignores it.
 	Workers int `json:"workers,omitempty"`
 	// GenSegments/GenWavefronts/GenOps shrink the synthetic generators
 	// (0 = shape default); they exist so tests and demos can run tiny
@@ -330,6 +330,7 @@ func (s *SweepSpec) bound(shapes []string, seeds int) error {
 		{"gen_segments", s.GenSegments, MaxSweepGenSize},
 		{"gen_wavefronts", s.GenWavefronts, MaxSweepGenSize},
 		{"gen_ops", s.GenOps, MaxSweepOps},
+		{"workers", s.Workers, MaxSweepWorkers},
 	} {
 		if knob.v > knob.max {
 			return fmt.Errorf("serve: sweep %s %d over the limit of %d", knob.name, knob.v, knob.max)
@@ -374,11 +375,7 @@ func (s *SweepSpec) plan() ([]string, runFunc, error) {
 		}
 		env.note("sweep: %d cells, workers=%d", len(cells), workers)
 		rows, err := SweepFanout(ctx, cells, FanoutConfig{
-			Workers: workers, Jobs: env.jobs,
-			Argv: env.argv, Env: env.env,
-			Progress:      env.progress,
-			OnWorkerStart: env.workerStart,
-			OnWorkerExit:  env.workerExit,
+			Workers: workers, Jobs: env.jobs, Progress: env.progress, pool: env.pool,
 		})
 		if err != nil {
 			return "", stats.Snapshot{}, err

@@ -25,6 +25,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	s.mu.Lock()
 	jobSnap := s.jobStats
 	jobSnaps := s.jobSnaps
+	retained := len(s.finished)
 	s.mu.Unlock()
 
 	fmt.Fprintf(w, "# TYPE bc_daemon_info gauge\nbc_daemon_info{version=%s} 1\n", promLabel(s.version))
@@ -35,6 +36,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	for _, st := range States {
 		fmt.Fprintf(w, "bc_daemon_jobs{state=%q} %d\n", st, h.Jobs[st])
 	}
+	writeProm(w, "bc_daemon_jobs_retained", "gauge", float64(retained))
 	writeProm(w, "bc_daemon_cache_entries", "gauge", float64(entries))
 	writeProm(w, "bc_daemon_cache_hits_total", "counter", float64(hits))
 	writeProm(w, "bc_daemon_cache_misses_total", "counter", float64(misses))
@@ -43,8 +45,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 		ratio = float64(hits) / float64(hits+misses)
 	}
 	writeProm(w, "bc_daemon_cache_hit_ratio", "gauge", ratio)
-	writeProm(w, "bc_daemon_workers_spawned_total", "counter", float64(s.workersSpawned.Load()))
-	writeProm(w, "bc_daemon_workers_active", "gauge", float64(s.workersActive.Load()))
+	writeProm(w, "bc_daemon_workers_spawned_total", "counter", float64(s.pool.spawned.Load()))
+	writeProm(w, "bc_daemon_workers_active", "gauge", float64(s.pool.active.Load()))
 	writeProm(w, "bc_daemon_watch_subscribers", "gauge", float64(subs))
 	writeProm(w, "bc_daemon_watch_events_total", "counter", float64(published))
 	writeProm(w, "bc_daemon_watch_dropped_total", "counter", float64(dropped))

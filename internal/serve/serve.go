@@ -2,9 +2,10 @@
 // HTTP/JSON daemon with a bounded job queue, typed job specs keyed to the
 // harness entry points (run, sweep, adversary, fleet), an artifact cache
 // keyed by (request, trace hashes, code version), NDJSON progress
-// streaming, cooperative cancellation, and a worker protocol that fans
-// sweep grids out across `bctool worker` subprocesses with byte-identical
-// artifacts at any worker count. See DESIGN.md §16.
+// streaming, cooperative cancellation, bounded retention of finished jobs,
+// and a worker protocol that fans sweep grids out across a pool of warm
+// `bctool worker` processes with byte-identical artifacts at any worker
+// count. See DESIGN.md §16.
 //
 // The telemetry plane on top (DESIGN.md §17): structured log/slog logging
 // of the request/job lifecycle, a Prometheus-text `GET /v1/metrics`
@@ -22,10 +23,10 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bordercontrol/internal/stats"
@@ -39,7 +40,8 @@ type Options struct {
 	// are refused with 503 rather than buffered without bound.
 	QueueDepth int
 	// Workers is the default worker-process fan-out for sweep jobs
-	// (0 = in-process; SweepSpec.Workers overrides per job).
+	// (0 = in-process; SweepSpec.Workers overrides per job). It is also
+	// how many warm workers the daemon keeps between jobs.
 	Workers int
 	// Jobs bounds host parallelism within a job or worker (0 = GOMAXPROCS).
 	Jobs int
@@ -66,6 +68,12 @@ type Options struct {
 // MaxRequestBytes bounds a job submission's body. A spec is a few hundred
 // bytes; a larger body is refused with 413 before it is decoded.
 const MaxRequestBytes = 1 << 20
+
+// MaxRetainedJobs bounds the finished jobs the daemon keeps: past it, the
+// job that finished first is forgotten, its status, events and artifact
+// with it, and a request for it gets 404. Queued and running jobs are
+// always kept.
+const MaxRetainedJobs = 256
 
 // Job states.
 const (
@@ -154,13 +162,6 @@ func (j *Job) addEvent(typ, msg string) {
 	j.mutate(func() { j.appendLocked(typ, msg) })
 }
 
-func (j *Job) setState(state string) {
-	j.mutate(func() {
-		j.state = state
-		j.appendLocked("state", state)
-	})
-}
-
 // eventsSince returns events with Seq > seq, the current state, and a
 // channel that closes on the next mutation.
 func (j *Job) eventsSince(seq int) ([]Event, string, <-chan struct{}) {
@@ -182,14 +183,16 @@ type Server struct {
 	cache   *artifactCache
 	log     *slog.Logger
 	fh      *firehose
+	pool    *workerPool
 
-	// Worker-subprocess telemetry, updated from fan-out goroutines.
-	workersSpawned atomic.Uint64
-	workersActive  atomic.Int64
-
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []string
+	mu    sync.Mutex
+	jobs  map[string]*Job // the retained jobs
+	order []string        // retained job IDs in submission order
+	// finished lists the retained terminal jobs in the order they
+	// finished: the eviction order.
+	finished []string
+	// states counts every job ever accepted by its current state.
+	states    map[string]int
 	nextID    int
 	started   bool
 	startedAt time.Time
@@ -226,7 +229,9 @@ func New(opts Options) *Server {
 		cache:   newArtifactCache(cacheSize),
 		log:     log,
 		fh:      newFirehose(opts.WatchBuffer),
+		pool:    newWorkerPool(opts.WorkerArgv, opts.WorkerEnv, log, opts.Workers),
 		jobs:    make(map[string]*Job),
+		states:  make(map[string]int, len(States)),
 	}
 }
 
@@ -272,9 +277,10 @@ func (s *Server) Start(ctx context.Context) {
 	}()
 }
 
-// Stop cancels the running job (if any), fails the queued ones as
-// cancelled, and waits for the executor to exit. Safe to call more than
-// once and before Start.
+// Stop cancels the running job (if any), which kills its workers, fails
+// the queued ones as cancelled, waits for the executor to exit, then stops
+// the idle workers and waits until every worker process has been reaped.
+// Safe to call more than once and before Start.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	stop := s.stop
@@ -283,13 +289,18 @@ func (s *Server) Stop() {
 		stop()
 	}
 	s.wg.Wait()
+	s.pool.close()
 }
 
 func (s *Server) drainQueue() {
 	for {
 		select {
 		case j := <-s.queue:
-			j.setState(StateCancelled)
+			j.mutate(func() {
+				if j.state == StateQueued {
+					s.transitionLocked(j, StateCancelled)
+				}
+			})
 			s.log.Info("job cancelled at shutdown", "job", j.ID)
 		default:
 			return
@@ -297,21 +308,52 @@ func (s *Server) drainQueue() {
 	}
 }
 
-// execute runs one job to a terminal state.
-func (s *Server) execute(ctx context.Context, j *Job) {
-	j.mu.Lock()
-	alreadyCancelled := j.state == StateCancelled
-	j.mu.Unlock()
-	if alreadyCancelled {
+// transitionLocked moves j to state, with j.mu held: it appends the state
+// event and keeps the per-state counts and retention in step. A job
+// becomes terminal once; when that puts the finished jobs past
+// MaxRetainedJobs, the one that finished first is evicted.
+func (s *Server) transitionLocked(j *Job, state string) {
+	old := j.state
+	j.state = state
+	j.appendLocked("state", state)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old != "" {
+		s.states[old]--
+	}
+	s.states[state]++
+	if !terminal(state) {
 		return
 	}
+	s.finished = append(s.finished, j.ID)
+	if len(s.finished) > MaxRetainedJobs {
+		id := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, id)
+		i := slices.Index(s.order, id)
+		s.order = slices.Delete(s.order, i, i+1)
+	}
+}
+
+func (s *Server) setState(j *Job, state string) {
+	j.mutate(func() { s.transitionLocked(j, state) })
+}
+
+// execute runs one job to a terminal state.
+func (s *Server) execute(ctx context.Context, j *Job) {
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	j.mu.Lock()
-	j.cancel = cancel
-	j.mu.Unlock()
-
-	j.setState(StateRunning)
+	running := false
+	j.mutate(func() {
+		if j.state == StateQueued { // not cancelled while it waited
+			j.cancel = cancel
+			s.transitionLocked(j, StateRunning)
+			running = true
+		}
+	})
+	if !running {
+		return
+	}
 	start := time.Now()
 	s.log.Info("job running", "job", j.ID, "type", j.Req.Type)
 
@@ -347,23 +389,9 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 	env := jobEnv{
 		jobs:    s.opts.Jobs,
 		workers: s.opts.Workers,
-		argv:    s.opts.WorkerArgv,
-		env:     s.opts.WorkerEnv,
+		pool:    s.pool,
 		progress: func(msg string) {
 			j.addEvent("progress", msg)
-		},
-		workerStart: func(worker, cells int) {
-			s.workersSpawned.Add(1)
-			s.workersActive.Add(1)
-			s.log.Info("worker spawned", "job", j.ID, "worker", worker, "cells", cells)
-		},
-		workerExit: func(worker int, err error) {
-			s.workersActive.Add(-1)
-			if err != nil {
-				s.log.Warn("worker exited", "job", j.ID, "worker", worker, "err", err)
-			} else {
-				s.log.Info("worker exited", "job", j.ID, "worker", worker)
-			}
 		},
 	}
 	art, snap, err := run(jctx, env)
@@ -374,7 +402,7 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 		// The job's own context died but the server's didn't: this was a
 		// per-job cancellation, not a shutdown.
 		j.mutate(func() { j.artifact = art })
-		j.setState(StateCancelled)
+		s.setState(j, StateCancelled)
 		s.log.Info("job cancelled", "job", j.ID, "elapsed", time.Since(start))
 		return
 	}
@@ -395,11 +423,11 @@ func (s *Server) finish(j *Job, artifact string, snap stats.Snapshot, err error,
 		s.mu.Unlock()
 	}
 	if err != nil {
-		j.setState(StateFailed)
+		s.setState(j, StateFailed)
 		s.log.Warn("job failed", "job", j.ID, "elapsed", time.Since(start), "err", err)
 		return
 	}
-	j.setState(StateDone)
+	s.setState(j, StateDone)
 	s.log.Info("job done", "job", j.ID, "elapsed", time.Since(start), "artifact_bytes", len(artifact))
 }
 
@@ -415,15 +443,14 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	j := &Job{
 		ID:      fmt.Sprintf("j%04d", s.nextID),
 		Req:     req,
-		state:   StateQueued,
 		updated: make(chan struct{}),
 		publish: s.fh.publish,
 	}
 	s.mu.Unlock()
 
-	// The queued event is appended and published while j.mu is held across
-	// the enqueue, so the executor (which takes j.mu first thing) cannot
-	// emit the running event ahead of it.
+	// The job is registered and its queued event appended and published
+	// while j.mu is held across the enqueue, so the executor (which takes
+	// j.mu first thing) cannot move it on ahead of either.
 	j.mu.Lock()
 	select {
 	case s.queue <- j:
@@ -432,13 +459,13 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		s.log.Warn("job refused: queue full", "type", req.Type, "queue_capacity", cap(s.queue))
 		return nil, ErrQueueFull
 	}
-	j.appendLocked("state", StateQueued)
-	j.mu.Unlock()
-
 	s.mu.Lock()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.mu.Unlock()
+	s.transitionLocked(j, StateQueued)
+	j.mu.Unlock()
+
 	depth, capacity := len(s.queue), cap(s.queue)
 	s.log.Info("job queued", "job", j.ID, "type", req.Type, "queue_depth", depth, "queue_capacity", capacity)
 	if depth*4 >= capacity*3 {
@@ -452,23 +479,22 @@ func (s *Server) Submit(req Request) (*Job, error) {
 var ErrQueueFull = fmt.Errorf("serve: job queue full")
 
 // Cancel requests cooperative cancellation of a job. A queued job is
-// cancelled immediately; a running one stops at its next engine poll.
+// cancelled immediately; a running one stops at its next engine poll, and
+// its worker processes are killed.
 func (s *Server) Cancel(id string) error {
 	j, ok := s.job(id)
 	if !ok {
 		return fmt.Errorf("serve: no job %q", id)
 	}
-	j.mu.Lock()
-	state, cancel := j.state, j.cancel
-	j.mu.Unlock()
-	switch {
-	case terminal(state):
-		return nil
-	case cancel != nil:
-		cancel()
-	default:
-		j.setState(StateCancelled) // still queued; executor will skip it
-	}
+	j.mutate(func() {
+		switch {
+		case terminal(j.state):
+		case j.cancel != nil:
+			j.cancel()
+		default:
+			s.transitionLocked(j, StateCancelled) // still queued; the executor skips it
+		}
+	})
 	s.log.Info("job cancel requested", "job", id)
 	return nil
 }
@@ -480,7 +506,7 @@ func (s *Server) job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// snapshotJobs returns every job in submission order.
+// snapshotJobs returns every retained job in submission order.
 func (s *Server) snapshotJobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -491,15 +517,15 @@ func (s *Server) snapshotJobs() []*Job {
 	return jobs
 }
 
-// jobsByState counts jobs per lifecycle state (every state present, zero
-// or not — a fixed label set keeps scrapers simple).
+// jobsByState counts every job ever accepted, retained or not, by its
+// current state (every state present, zero or not — a fixed label set
+// keeps scrapers simple).
 func (s *Server) jobsByState() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	counts := make(map[string]int, len(States))
 	for _, st := range States {
-		counts[st] = 0
-	}
-	for _, j := range s.snapshotJobs() {
-		counts[j.status().State]++
+		counts[st] = s.states[st]
 	}
 	return counts
 }
@@ -555,7 +581,7 @@ func (s *Server) doneCh() <-chan struct{} {
 //	GET    /v1/metrics           — Prometheus text exposition (daemon + job series)
 //	GET    /v1/watch             — NDJSON firehose of every job's events (?after=cursor)
 //	POST   /v1/jobs              — submit a Request (202, or 400/503)
-//	GET    /v1/jobs              — all job statuses, submission order
+//	GET    /v1/jobs              — retained job statuses, submission order
 //	GET    /v1/jobs/{id}         — one job status
 //	GET    /v1/jobs/{id}/events  — NDJSON progress stream until terminal (?after=seq)
 //	GET    /v1/jobs/{id}/artifact — rendered artifact (text/plain)

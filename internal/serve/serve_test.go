@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -207,6 +208,9 @@ func TestSweepSpecBounds(t *testing.T) {
 		{SweepSpec{GenOps: MaxSweepOps + 1}, "gen_ops"},
 		{SweepSpec{Seeds: 100}, "memory operations"}, // default shapes: 4928 ops a seed
 		{SweepSpec{Traffic: []string{"stream"}, GenWavefronts: MaxSweepGenSize, GenOps: MaxSweepOps / 32}, "memory operations"},
+		// 18432 cells inside every other cap, each asking for a process.
+		{SweepSpec{Seeds: MaxSweepSeeds, GenSegments: 1, GenWavefronts: 1, GenOps: 1, Workers: 100_000}, "workers"},
+		{SweepSpec{Workers: MaxSweepWorkers + 1}, "workers"},
 	} {
 		err := Request{Type: "sweep", Sweep: &c.spec}.Validate()
 		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "limit") {
@@ -224,14 +228,24 @@ func TestSweepSpecBounds(t *testing.T) {
 	if allocs > 50 {
 		t.Errorf("10^5 copies of one mode: validation made %.0f allocations, so it expanded the grid", allocs)
 	}
-	if err := tinySweepRequest().Validate(); err != nil {
-		t.Errorf("tiny sweep refused: %v", err)
+	for _, workers := range []int{0, -1, MaxSweepWorkers} {
+		req := tinySweepRequest()
+		req.Sweep.Workers = workers
+		if err := req.Validate(); err != nil {
+			t.Errorf("tiny sweep with workers %d refused: %v", workers, err)
+		}
 	}
 
 	_, c := startTestServer(t, Options{Version: "test"})
 	_, err = c.Submit(context.Background(), huge)
 	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("submitting 10^6 seeds: err = %v, want a 400 naming the limit", err)
+	}
+	tooMany := tinySweepRequest()
+	tooMany.Sweep.Workers = MaxSweepWorkers + 1
+	_, err = c.Submit(context.Background(), tooMany)
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), fmt.Sprintf("limit of %d", MaxSweepWorkers)) {
+		t.Errorf("submitting %d workers: err = %v, want a 400 naming the limit", MaxSweepWorkers+1, err)
 	}
 }
 
@@ -350,5 +364,90 @@ func TestSubmitRejectsOversizedBody(t *testing.T) {
 	}
 	if final.State != StateDone {
 		t.Fatalf("job after the oversized submission ended %s (%s)", final.State, final.Error)
+	}
+}
+
+// TestServeRetentionSoak submits a few thousand tiny sweep jobs: the first
+// computes and the rest are cache hits. At every point the daemon keeps at
+// most MaxRetainedJobs finished jobs; an evicted job answers 404; the
+// per-state counts still cover every job accepted; and the live heap after
+// GC stays under a bound that retaining every job would break.
+func TestServeRetentionSoak(t *testing.T) {
+	jobs := 3000
+	if testing.Short() {
+		jobs = 1000
+	}
+	// A retained cache-hit job holds about 1 KB (its status, request and
+	// four events): keeping all 3000 grows the live heap by about 2.8 MB,
+	// and the cap holds it near 0.4 MB. Only the full run is bounded; the
+	// short one has too few jobs to tell the two apart.
+	const heapBound = 1.5 * (1 << 20)
+	srv, c := startTestServer(t, Options{Version: "test"})
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var first string
+	for i := 0; i < jobs; i++ {
+		j, err := srv.Submit(tinySweepRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = j.ID
+		}
+		for {
+			_, state, changed := j.eventsSince(math.MaxInt)
+			if terminal(state) {
+				break
+			}
+			<-changed
+		}
+		srv.mu.Lock()
+		retained := len(srv.finished)
+		srv.mu.Unlock()
+		if retained > MaxRetainedJobs {
+			t.Fatalf("after job %d the daemon retains %d finished jobs, over the cap of %d", i, retained, MaxRetainedJobs)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d jobs: live heap grew by %d bytes", jobs, growth)
+	if !testing.Short() && growth > heapBound {
+		t.Errorf("live heap grew by %d bytes over %d jobs, want under %d", growth, jobs, int64(heapBound))
+	}
+
+	for _, err := range []error{
+		func() error { _, err := c.Status(ctx, first); return err }(),
+		func() error { _, err := c.Artifact(ctx, first); return err }(),
+		c.Cancel(ctx, first),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "404") {
+			t.Errorf("evicted job %s: err = %v, want 404", first, err)
+		}
+	}
+	list, err := c.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != MaxRetainedJobs {
+		t.Errorf("/v1/jobs lists %d jobs, want the %d retained", len(list), MaxRetainedJobs)
+	}
+	if got := metric(t, c, `bc_daemon_jobs{state="done"}`); got != float64(jobs) {
+		t.Errorf(`bc_daemon_jobs{state="done"} = %v, want all %d jobs`, got, jobs)
+	}
+	if got := metric(t, c, "bc_daemon_jobs_retained"); got != MaxRetainedJobs {
+		t.Errorf("bc_daemon_jobs_retained = %v, want %d", got, MaxRetainedJobs)
+	}
+	if got := metric(t, c, "bc_daemon_cache_hits_total"); got != float64(jobs-1) {
+		t.Errorf("bc_daemon_cache_hits_total = %v, want %d", got, jobs-1)
+	}
+	h, err := c.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Jobs[StateDone] != jobs {
+		t.Errorf("healthz counts %d done jobs, want %d", h.Jobs[StateDone], jobs)
 	}
 }

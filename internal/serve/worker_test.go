@@ -7,6 +7,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"strings"
 	"testing"
@@ -23,12 +25,12 @@ func blobHash(blob []byte) string {
 
 // TestMain doubles the test binary as a worker process: when spawned with
 // BC_SERVE_WORKER=1 it speaks the worker protocol on stdin/stdout instead
-// of running tests. Fan-out tests point FanoutConfig.Argv at os.Args[0]
-// with that variable set, so they exercise the real subprocess path
-// without needing a built bctool on PATH.
+// of running tests. Fan-out tests point FanoutConfig.Argv (or the daemon's
+// Options.WorkerArgv) at os.Args[0] with that variable set, so they
+// exercise real worker processes without needing a built bctool on PATH.
 //
-// With BC_SERVE_WORKER=read it only reads its request and exits at once,
-// the earliest a worker can leave.
+// With BC_SERVE_WORKER=read it only reads its first request and exits at
+// once, the earliest a worker can leave.
 func TestMain(m *testing.M) {
 	switch os.Getenv("BC_SERVE_WORKER") {
 	case "1":
@@ -48,11 +50,19 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// workerEnv is the environment of a worker process in the given
+// BC_SERVE_WORKER mode. A race-enabled binary sleeps for a second at exit
+// (GORACE's atexit_sleep_ms) to let late race reports through; these
+// workers exit after every test, so the sleep is turned off.
+func workerEnv(mode string) []string {
+	return []string{"BC_SERVE_WORKER=" + mode, "GORACE=" + os.Getenv("GORACE") + " atexit_sleep_ms=0"}
+}
+
 func workerFanoutConfig(workers int) FanoutConfig {
 	return FanoutConfig{
 		Workers: workers,
 		Argv:    []string{os.Args[0]},
-		Env:     []string{"BC_SERVE_WORKER=1"},
+		Env:     workerEnv("1"),
 	}
 }
 
@@ -134,9 +144,11 @@ func TestSweepFanoutInProcess(t *testing.T) {
 	}
 }
 
-// TestRunWorkerRoundTrip drives the worker protocol in-process: encode a
-// request, run RunWorker, decode the NDJSON rows, and check they carry the
-// same results RunCell produces directly.
+// TestRunWorkerRoundTrip drives the worker protocol in-process: encode two
+// requests on one stream, run RunWorker, decode the NDJSON records, and
+// check each request's rows carry the same results RunCell produces
+// directly and end with exactly one end record. RunWorker returns nil at
+// the EOF after the second request.
 func TestRunWorkerRoundTrip(t *testing.T) {
 	cells := tinyGrid(t)
 	hashOf := map[*tracerec.Trace]string{}
@@ -162,57 +174,88 @@ func TestRunWorkerRoundTrip(t *testing.T) {
 		})
 	}
 	var in, out bytes.Buffer
-	if err := json.NewEncoder(&in).Encode(req); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if err := json.NewEncoder(&in).Encode(req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := RunWorker(context.Background(), &in, &out); err != nil {
 		t.Fatal(err)
 	}
 
-	rows := make([]*harness.SweepRow, len(cells))
-	dec := json.NewDecoder(&out)
-	for dec.More() {
-		var wr workerRow
-		if err := dec.Decode(&wr); err != nil {
-			t.Fatal(err)
-		}
-		if wr.Err != "" {
-			t.Fatalf("cell %d failed: %s", wr.Index, wr.Err)
-		}
-		rows[wr.Index] = wr.Row
-	}
 	want, err := harness.RunSweepExec(context.Background(), harness.Exec{Jobs: 1}, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range cells {
-		if rows[i] == nil {
-			t.Fatalf("worker dropped cell %d", i)
+	dec := json.NewDecoder(&out)
+	for r := range 2 {
+		rows := make([]*harness.SweepRow, len(cells))
+		for {
+			var wr workerRow
+			if err := dec.Decode(&wr); err != nil {
+				t.Fatalf("request %d: %v before the end record", r, err)
+			}
+			if wr.End {
+				if wr.Index != -1 || wr.Row != nil || wr.Err != "" {
+					t.Errorf("request %d: end record %+v, want index -1 alone", r, wr)
+				}
+				break
+			}
+			if wr.Err != "" {
+				t.Fatalf("request %d: cell %d failed: %s", r, wr.Index, wr.Err)
+			}
+			rows[wr.Index] = wr.Row
 		}
-		if *rows[i] != want[i] {
-			t.Errorf("cell %d: worker row %+v != in-process row %+v", i, *rows[i], want[i])
+		for i := range cells {
+			if rows[i] == nil {
+				t.Fatalf("request %d: worker dropped cell %d", r, i)
+			}
+			if *rows[i] != want[i] {
+				t.Errorf("request %d: cell %d: worker row %+v != in-process row %+v", r, i, *rows[i], want[i])
+			}
 		}
+	}
+	if dec.More() {
+		t.Error("records after the second request's end record")
+	}
+
+	// A request cut short is an error, not a clean EOF.
+	var cut bytes.Buffer
+	if err := json.NewEncoder(&cut).Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	cut.Truncate(cut.Len() / 2)
+	if err := RunWorker(context.Background(), &cut, io.Discard); err == nil {
+		t.Error("RunWorker on a truncated request: want an error")
 	}
 }
 
-// TestRunWorkerProcFeederFinishesFirst drives many jobs through a worker
-// that exits as soon as it has read its request. None may fail: cmd.Wait
-// closes stdin, so calling it while the feeder goroutine may still be
-// closing stdin fails the job with "feeding request: close |1: file
-// already closed".
-func TestRunWorkerProcFeederFinishesFirst(t *testing.T) {
-	req := workerRequest{Jobs: 1, Traces: []workerTrace{{Hash: "pad", Data: make([]byte, 96<<10)}}}
+// TestWorkerExitingAfterReadFailsOnlyItsJob drives many fan-outs through one
+// pool whose workers exit as soon as they have read their request
+// (BC_SERVE_WORKER=read). Each fan-out must fail with an error naming its
+// own, freshly started worker and the first cell it did not return: a dead
+// worker is never handed to the next fan-out, and no fan-out hangs.
+func TestWorkerExitingAfterReadFailsOnlyItsJob(t *testing.T) {
+	cells := tinyGrid(t)
 	jobs := 300
 	if testing.Short() {
 		jobs = 50
 	}
-	noRows := func(wr workerRow) error { return fmt.Errorf("unexpected row %+v", wr) }
+	pool := newWorkerPool([]string{os.Args[0]}, workerEnv("read"), slog.New(discardHandler{}), 1)
 	for i := 0; i < jobs; i++ {
-		err := runWorkerProc(context.Background(), []string{os.Args[0]}, []string{"BC_SERVE_WORKER=read"},
-			os.Stderr, req, noRows)
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
+		_, err := SweepFanout(context.Background(), cells, FanoutConfig{Workers: 1, pool: pool})
+		want := fmt.Sprintf("worker %d (pid ", i+1)
+		if err == nil || !strings.Contains(err.Error(), want) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("before returning cell %q", cells[0].Label)) {
+			t.Fatalf("job %d: err = %v, want %q failing before cell %q", i, err, want, cells[0].Label)
 		}
+	}
+	pool.close()
+	if got := pool.spawned.Load(); got != uint64(jobs) {
+		t.Errorf("spawned %d workers for %d jobs, want one each", got, jobs)
+	}
+	if got := pool.active.Load(); got != 0 {
+		t.Errorf("%d workers still active after close", got)
 	}
 }
 
