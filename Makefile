@@ -122,13 +122,16 @@ results-smoke:
 
 # Short coverage-guided runs of the fuzz targets: the border-protocol
 # differential fuzzer, the event-engine ordering fuzzer, the trace codec
-# fuzzer, and the experiment service's submission validator. Anything they
-# minimize lands in the package testdata/fuzz corpora — commit it.
+# fuzzer, the experiment service's submission validator, and the cache and
+# TLB fuzzers against their reference models. Anything they minimize lands
+# in the package testdata/fuzz corpora — commit it.
 fuzz-smoke:
 	$(GO) test -run '^FuzzBorderCheck$$' -fuzz '^FuzzBorderCheck$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^FuzzEngineSchedule$$' -fuzz '^FuzzEngineSchedule$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^FuzzTraceCodec$$' -fuzz '^FuzzTraceCodec$$' -fuzztime 10s ./internal/tracerec
 	$(GO) test -run '^FuzzRequestValidate$$' -fuzz '^FuzzRequestValidate$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^FuzzCacheMatchesReference$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 10s ./internal/cache
+	$(GO) test -run '^FuzzTLBMatchesReference$$' -fuzz '^FuzzTLBMatchesReference$$' -fuzztime 10s ./internal/tlb
 
 # Replay smoke: record a reference trace, replay it, and byte-compare the
 # replayed report against the live run — the record/replay equivalence

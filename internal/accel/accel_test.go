@@ -354,7 +354,7 @@ func TestFlushIgnorerIsContained(t *testing.T) {
 	}
 	// The dirty block eventually tries to write back: blocked.
 	blocked := 0
-	for _, db := range r.hier.L2().FlushAll() {
+	for _, db := range r.hier.L2().FlushAll(nil) {
 		db := db
 		if _, ok := r.hier.Border().WriteBlock(r.eng.Now(), r.proc.ASID(), db.Addr, &db.Data); !ok {
 			blocked++

@@ -94,3 +94,35 @@ func TestCAPIL2MissAllocatesNothing(t *testing.T) {
 		t.Fatal("no dirty victim was written back")
 	}
 }
+
+// TestFlushesAllocateNothing: once the hierarchy's flush slice has grown to
+// a page's dirty blocks, a selective flush and a full flush with
+// writebacks across the border allocate nothing.
+func TestFlushesAllocateNothing(t *testing.T) {
+	r := newRig(t, true)
+	v := r.buffer(t, arch.PageSize)
+	ppn, _ := r.proc.PPNOf(v.PageOf())
+	var at sim.Time
+	dirty := func() {
+		for off := arch.Virt(0); off < arch.PageSize; off += 4 * arch.BlockSize {
+			if _, err := r.hier.Access(at, 0, r.proc.ASID(), Op{Kind: arch.Write, Size: 4, Addr: v + off}, []byte{1, 2, 3, 4}); err != nil {
+				t.Fatal(err)
+			}
+			at += 1000
+		}
+	}
+	for name, flush := range map[string]func(){
+		"FlushPage": func() { at = r.hier.FlushPage(at, ppn) },
+		"FlushAll":  func() { at = r.hier.FlushAll(at) },
+	} {
+		step := func() { dirty(); flush() }
+		step()
+		writes := r.hier.border.Writes.Value()
+		if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+			t.Errorf("%s of a dirty page: %v allocations per flush, want 0", name, allocs)
+		}
+		if r.hier.border.Writes.Value()-writes < 50*8 {
+			t.Fatalf("%s wrote back %d blocks, want 8 per flush", name, r.hier.border.Writes.Value()-writes)
+		}
+	}
+}

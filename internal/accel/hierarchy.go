@@ -105,6 +105,11 @@ type Sandboxed struct {
 	l1s    []*cache.Cache
 	l2     *cache.Cache
 	pr     *prof.Profiler
+	// flushBuf is the scratch slice L2 flushes append to. A flush takes it
+	// for the whole writeback loop: a denied writeback can exit the process
+	// and so flush again before the loop ends, and that nested flush then
+	// allocates its own slice instead of overwriting this one.
+	flushBuf []cache.DirtyBlock
 
 	stallUntil sim.Time
 
@@ -306,41 +311,40 @@ func (h *Sandboxed) FlushAll(at sim.Time) sim.Time {
 	// requests drain (the stall the shootdown already imposed).
 	at = h.clampStall(at)
 	for _, l1 := range h.l1s {
-		l1.FlushAll() // write-through: nothing dirty
+		l1.FlushAll(nil) // write-through: nothing dirty
 	}
-	if h.pr != nil {
-		h.pr.Span("gpu/flush_scan", uint64(h.cfg.FlushScanLatency))
-	}
-	done := at + h.cfg.FlushScanLatency
-	for _, db := range h.l2.FlushAll() {
-		db := db
-		// Writebacks are issued back to back; DRAM bandwidth serializes
-		// them, and the flush completes when the last one lands. They are
-		// hardware-initiated (ASID 0): the flusher is not a process.
-		if t, ok := h.border.WriteBlock(at, 0, db.Addr, &db.Data); ok && t > done {
-			done = t
-		}
-	}
-	h.stall(done)
-	return done
+	blocks := h.l2.FlushAll(h.flushBuf[:0])
+	h.flushBuf = nil
+	return h.writeBack(at, blocks)
 }
 
 // FlushPage implements core.Sandboxed: the selective downgrade flush.
 func (h *Sandboxed) FlushPage(at sim.Time, ppn arch.PPN) sim.Time {
 	at = h.clampStall(at)
 	for _, l1 := range h.l1s {
-		l1.FlushPage(ppn)
+		l1.FlushPage(nil, ppn)
 	}
+	blocks := h.l2.FlushPage(h.flushBuf[:0], ppn)
+	h.flushBuf = nil
+	return h.writeBack(at, blocks)
+}
+
+// writeBack charges a flush's array scan, writes its dirty L2 blocks back
+// and hands the scratch slice back to the hierarchy.
+func (h *Sandboxed) writeBack(at sim.Time, blocks []cache.DirtyBlock) sim.Time {
 	if h.pr != nil {
 		h.pr.Span("gpu/flush_scan", uint64(h.cfg.FlushScanLatency))
 	}
 	done := at + h.cfg.FlushScanLatency
-	for _, db := range h.l2.FlushPage(ppn) {
-		db := db
-		if t, ok := h.border.WriteBlock(at, 0, db.Addr, &db.Data); ok && t > done {
+	for i := range blocks {
+		// Writebacks are issued back to back; DRAM bandwidth serializes
+		// them, and the flush completes when the last one lands. They are
+		// hardware-initiated (ASID 0): the flusher is not a process.
+		if t, ok := h.border.WriteBlock(at, 0, blocks[i].Addr, &blocks[i].Data); ok && t > done {
 			done = t
 		}
 	}
+	h.flushBuf = blocks[:0]
 	h.stall(done)
 	return done
 }

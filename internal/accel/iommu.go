@@ -159,6 +159,9 @@ type CAPIHierarchy struct {
 	border *BorderPort
 	l2     *cache.Cache
 	pr     *prof.Profiler
+	// flushBuf is Drain's scratch slice, taken for the whole writeback
+	// loop as in Sandboxed.
+	flushBuf []cache.DirtyBlock
 
 	stallUntil sim.Time
 
@@ -232,13 +235,15 @@ func (h *CAPIHierarchy) Access(at sim.Time, cu int, asid arch.ASID, op Op, data 
 
 // Drain implements Hierarchy: flush the trusted cache at kernel end.
 func (h *CAPIHierarchy) Drain(at sim.Time) sim.Time {
+	blocks := h.l2.FlushAll(h.flushBuf[:0])
+	h.flushBuf = nil
 	done := at
-	for _, db := range h.l2.FlushAll() {
-		db := db
-		if t, ok := h.border.WriteBlock(at, 0, db.Addr, &db.Data); ok && t > done {
+	for i := range blocks {
+		if t, ok := h.border.WriteBlock(at, 0, blocks[i].Addr, &blocks[i].Data); ok && t > done {
 			done = t
 		}
 	}
+	h.flushBuf = blocks[:0]
 	return done
 }
 

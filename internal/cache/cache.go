@@ -45,13 +45,23 @@ type Config struct {
 	HitLatency sim.Time
 }
 
+// line is one way's metadata. Its block lives in a data slot (see
+// Cache.chunks), assigned at the line's first fill and kept across
+// evictions; slot 0 means the line was never filled, slot s holds data
+// slot s-1.
 type line struct {
-	valid bool
-	dirty bool
 	tag   uint64
 	lru   uint64
-	data  [arch.BlockSize]byte
+	slot  uint32
+	valid bool
+	dirty bool
 }
+
+// chunkBlocks is how many data slots one chunk of line data holds (4 KB).
+const chunkBlocks = 32
+
+// blocksPerPage is how many cache blocks one page spans.
+const blocksPerPage = arch.PageSize / arch.BlockSize
 
 // DirtyBlock is a block leaving the cache that must be written back.
 type DirtyBlock struct {
@@ -59,11 +69,20 @@ type DirtyBlock struct {
 	Data [arch.BlockSize]byte
 }
 
-// Cache is a set-associative cache over 128-byte blocks.
+// Cache is a set-associative cache over 128-byte blocks. Line metadata is
+// one flat array, set after set, so a set scan walks contiguous tags. Line
+// data is allocated in chunks as lines are first filled, so a cache costs
+// what its run touches rather than its full geometry; chunks never move.
 type Cache struct {
-	cfg  Config
-	sets [][]line
-	tick uint64
+	cfg    Config
+	nsets  uint64
+	mask   uint64 // nsets-1 when nsets is a power of two
+	pow2   bool
+	lines  []line
+	chunks [][][arch.BlockSize]byte
+	slots  uint32 // data slots handed out
+	valid  int    // valid lines
+	tick   uint64
 
 	HitMiss    stats.HitMiss
 	Writebacks stats.Counter
@@ -79,12 +98,15 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Ways <= 0 || blocks%cfg.Ways != 0 {
 		return nil, fmt.Errorf("cache %q: %d blocks not divisible into %d ways", cfg.Name, blocks, cfg.Ways)
 	}
-	nsets := blocks / cfg.Ways
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c, nil
+	nsets := uint64(blocks / cfg.Ways)
+	return &Cache{
+		cfg:    cfg,
+		nsets:  nsets,
+		mask:   nsets - 1,
+		pow2:   nsets&(nsets-1) == 0,
+		lines:  make([]line, blocks),
+		chunks: make([][][arch.BlockSize]byte, 0, (blocks+chunkBlocks-1)/chunkBlocks),
+	}, nil
 }
 
 // Config returns the cache configuration.
@@ -93,10 +115,19 @@ func (c *Cache) Config() Config { return c.cfg }
 // HitLatency returns the configured hit latency.
 func (c *Cache) HitLatency() sim.Time { return c.cfg.HitLatency }
 
-func (c *Cache) set(a arch.Phys) []line { return c.sets[c.setIndex(a)] }
+// setOf returns the index of the set holding block tag t: a mask for
+// power-of-two set counts, a modulo otherwise.
+func (c *Cache) setOf(t uint64) uint64 {
+	if c.pow2 {
+		return t & c.mask
+	}
+	return t % c.nsets
+}
 
-func (c *Cache) setIndex(a arch.Phys) uint64 {
-	return (uint64(a) >> arch.BlockShift) % uint64(len(c.sets))
+func (c *Cache) set(a arch.Phys) []line {
+	w := c.cfg.Ways
+	base := int(c.setOf(tagOf(a))) * w
+	return c.lines[base : base+w : base+w]
 }
 
 func tagOf(a arch.Phys) uint64 { return uint64(a) >> arch.BlockShift }
@@ -110,6 +141,23 @@ func (c *Cache) find(a arch.Phys) *line {
 		}
 	}
 	return nil
+}
+
+// data returns l's block; l must have been filled once.
+func (c *Cache) data(l *line) *[arch.BlockSize]byte {
+	s := l.slot - 1
+	return &c.chunks[s/chunkBlocks][s%chunkBlocks]
+}
+
+// newSlot hands out the next data slot, allocating a chunk when the last
+// one is full. A cache never hands out more slots than it has lines.
+func (c *Cache) newSlot() uint32 {
+	if c.slots%chunkBlocks == 0 {
+		n := min(chunkBlocks, len(c.lines)-int(c.slots))
+		c.chunks = append(c.chunks, make([][arch.BlockSize]byte, n))
+	}
+	c.slots++
+	return c.slots
 }
 
 // Contains reports whether the block holding a is cached, without touching
@@ -139,7 +187,8 @@ func (c *Cache) Lookup(a arch.Phys) bool {
 // Fill installs the block containing a with the given data and returns the
 // evicted dirty victim, if the replaced line must be written back. A block
 // already present, wherever in the set, is refilled in place, so a set
-// never holds two lines for one block.
+// never holds two lines for one block. The victim is the set's first
+// invalid way, else its first way with the least recent use.
 func (c *Cache) Fill(a arch.Phys, data []byte) (DirtyBlock, bool) {
 	a = a.BlockOf()
 	if len(data) != arch.BlockSize {
@@ -147,6 +196,7 @@ func (c *Cache) Fill(a arch.Phys, data []byte) (DirtyBlock, bool) {
 	}
 	c.Fills.Inc()
 	set := c.set(a)
+	t := tagOf(a)
 	c.tick++
 	victim, free := 0, -1
 	for i := range set {
@@ -155,9 +205,9 @@ func (c *Cache) Fill(a arch.Phys, data []byte) (DirtyBlock, bool) {
 			if free < 0 {
 				free = i
 			}
-		case set[i].tag == tagOf(a):
+		case set[i].tag == t:
 			// Refill of a present block (e.g. upgrade); keep dirty state.
-			copy(set[i].data[:], data)
+			copy(c.data(&set[i])[:], data)
 			set[i].lru = c.tick
 			return DirtyBlock{}, false
 		case set[i].lru < set[victim].lru:
@@ -171,14 +221,20 @@ func (c *Cache) Fill(a arch.Phys, data []byte) (DirtyBlock, bool) {
 	var wb DirtyBlock
 	evictedDirty := v.valid && v.dirty
 	if evictedDirty {
-		wb = DirtyBlock{Addr: arch.Phys(v.tag) << arch.BlockShift, Data: v.data}
+		wb = DirtyBlock{Addr: arch.Phys(v.tag) << arch.BlockShift, Data: *c.data(v)}
 		c.Writebacks.Inc()
+	}
+	if !v.valid {
+		c.valid++
+	}
+	if v.slot == 0 {
+		v.slot = c.newSlot()
 	}
 	v.valid = true
 	v.dirty = false
-	v.tag = tagOf(a)
+	v.tag = t
 	v.lru = c.tick
-	copy(v.data[:], data)
+	copy(c.data(v)[:], data)
 	return wb, evictedDirty
 }
 
@@ -187,7 +243,7 @@ func (c *Cache) Fill(a arch.Phys, data []byte) (DirtyBlock, bool) {
 func (c *Cache) Read(a arch.Phys, buf []byte) {
 	l := c.mustFind(a, uint64(len(buf)))
 	off := uint64(a) & arch.BlockMask
-	copy(buf, l.data[off:off+uint64(len(buf))])
+	copy(buf, c.data(l)[off:off+uint64(len(buf))])
 }
 
 // Write stores data into a cached block. Under write-back the line becomes
@@ -196,7 +252,7 @@ func (c *Cache) Read(a arch.Phys, buf []byte) {
 func (c *Cache) Write(a arch.Phys, data []byte) {
 	l := c.mustFind(a, uint64(len(data)))
 	off := uint64(a) & arch.BlockMask
-	copy(l.data[off:off+uint64(len(data))], data)
+	copy(c.data(l)[off:off+uint64(len(data))], data)
 	if c.cfg.Policy == WriteBack {
 		l.dirty = true
 	}
@@ -213,48 +269,51 @@ func (c *Cache) mustFind(a arch.Phys, n uint64) *line {
 	return l
 }
 
-// FlushAll invalidates every line and returns the dirty blocks that need
-// writing back, in set order.
-func (c *Cache) FlushAll() []DirtyBlock {
-	var out []DirtyBlock
-	for _, set := range c.sets {
-		for i := range set {
-			l := &set[i]
-			if l.valid && l.dirty {
-				out = append(out, DirtyBlock{Addr: arch.Phys(l.tag) << arch.BlockShift, Data: l.data})
-				c.Writebacks.Inc()
-			}
-			l.valid = false
-			l.dirty = false
+// invalidate drops l, which must be valid, and appends it to dst when it is
+// dirty.
+func (c *Cache) invalidate(dst []DirtyBlock, l *line) []DirtyBlock {
+	if l.dirty {
+		dst = append(dst, DirtyBlock{Addr: arch.Phys(l.tag) << arch.BlockShift, Data: *c.data(l)})
+		c.Writebacks.Inc()
+	}
+	l.valid = false
+	l.dirty = false
+	c.valid--
+	return dst
+}
+
+// FlushAll invalidates every line and appends the dirty blocks that need
+// writing back to dst, in set order, and returns the extended slice.
+func (c *Cache) FlushAll(dst []DirtyBlock) []DirtyBlock {
+	for i := 0; c.valid > 0; i++ {
+		if l := &c.lines[i]; l.valid {
+			dst = c.invalidate(dst, l)
 		}
 	}
-	return out
+	return dst
 }
 
 // FlushPage invalidates every line belonging to the given physical page and
-// returns its dirty blocks. This is the paper's selective-flush
-// optimization for permission downgrades.
-func (c *Cache) FlushPage(p arch.PPN) []DirtyBlock {
-	var out []DirtyBlock
-	for _, set := range c.sets {
-		for i := range set {
-			l := &set[i]
-			if !l.valid {
-				continue
-			}
-			addr := arch.Phys(l.tag) << arch.BlockShift
-			if addr.PageOf() != p {
-				continue
-			}
-			if l.dirty {
-				out = append(out, DirtyBlock{Addr: addr, Data: l.data})
-				c.Writebacks.Inc()
-			}
-			l.valid = false
-			l.dirty = false
+// appends its dirty blocks to dst, in set order, returning the extended
+// slice. This is the paper's selective-flush optimization for permission
+// downgrades. With a power-of-two set count of at least a page's blocks,
+// the page's blocks map to consecutive sets, and only those are scanned.
+func (c *Cache) FlushPage(dst []DirtyBlock, p arch.PPN) []DirtyBlock {
+	if c.valid == 0 {
+		return dst
+	}
+	lines := c.lines
+	if c.pow2 && c.nsets >= blocksPerPage {
+		base := int(c.setOf(tagOf(p.Base()))) * c.cfg.Ways
+		lines = c.lines[base : base+blocksPerPage*c.cfg.Ways]
+	}
+	for i := range lines {
+		l := &lines[i]
+		if l.valid && (arch.Phys(l.tag)<<arch.BlockShift).PageOf() == p {
+			dst = c.invalidate(dst, l)
 		}
 	}
-	return out
+	return dst
 }
 
 // Drop invalidates the block containing a WITHOUT writing it back, losing
@@ -267,6 +326,7 @@ func (c *Cache) Drop(a arch.Phys) bool {
 	}
 	l.valid = false
 	l.dirty = false
+	c.valid--
 	return true
 }
 
@@ -277,38 +337,27 @@ func (c *Cache) Extract(a arch.Phys) (data [arch.BlockSize]byte, dirty, present 
 	if l == nil {
 		return data, false, false
 	}
-	data = l.data
+	data = *c.data(l)
 	dirty = l.dirty
 	l.valid = false
 	l.dirty = false
+	c.valid--
 	return data, dirty, true
 }
 
 // DirtyBlocks returns how many lines are currently dirty (for tests).
 func (c *Cache) DirtyBlocks() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].valid && c.lines[i].dirty {
+			n++
 		}
 	}
 	return n
 }
 
 // ValidBlocks returns how many lines are currently valid (for tests).
-func (c *Cache) ValidBlocks() int {
-	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (c *Cache) ValidBlocks() int { return c.valid }
 
 // RegisterMetrics publishes the cache's counters under s ("hits",
 // "misses", "miss_ratio", "writebacks", "fills" within the given scope).

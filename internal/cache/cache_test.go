@@ -128,7 +128,7 @@ func TestFlushAll(t *testing.T) {
 	c.Fill(0, block(1))
 	c.Write(0, []byte{1})
 	c.Fill(128, block(2)) // clean
-	dirty := c.FlushAll()
+	dirty := c.FlushAll(nil)
 	if len(dirty) != 1 || dirty[0].Addr != 0 {
 		t.Fatalf("flush returned %v", dirty)
 	}
@@ -144,7 +144,7 @@ func TestFlushPage(t *testing.T) {
 		c.Fill(a, block(0))
 		c.Write(a, []byte{0xFF})
 	}
-	dirty := c.FlushPage(0)
+	dirty := c.FlushPage(nil, 0)
 	if len(dirty) != 2 {
 		t.Fatalf("page flush returned %d blocks, want 2", len(dirty))
 	}
@@ -274,7 +274,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 			}
 		case 8: // page flush
 			page := addr.PageOf()
-			for _, db := range c.FlushPage(page) {
+			for _, db := range c.FlushPage(nil, page) {
 				persist(db)
 			}
 			for a := range ref {
@@ -292,7 +292,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 		}
 	}
 	// Final flush: everything dirty lands in mem and matches the reference.
-	for _, db := range c.FlushAll() {
+	for _, db := range c.FlushAll(nil) {
 		rl := ref[db.Addr]
 		if rl == nil || !rl.dirty || !bytes.Equal(rl.data[:], db.Data[:]) {
 			t.Fatal("final flush mismatch")

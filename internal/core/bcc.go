@@ -77,8 +77,9 @@ func NewBCC(cfg BCCConfig) (*BCC, error) {
 		return nil, err
 	}
 	b := &BCC{cfg: cfg, entries: make([]bccEntry, cfg.Entries)}
+	perms := make([]arch.Perm, cfg.Entries*cfg.PagesPerEntry)
 	for i := range b.entries {
-		b.entries[i].perms = make([]arch.Perm, cfg.PagesPerEntry)
+		b.entries[i].perms = perms[i*cfg.PagesPerEntry : (i+1)*cfg.PagesPerEntry : (i+1)*cfg.PagesPerEntry]
 	}
 	return b, nil
 }
@@ -137,15 +138,7 @@ func (b *BCC) Fill(ppn arch.PPN, table *ProtectionTable) arch.Perm {
 	e.valid = true
 	e.tag = b.tagOf(ppn)
 	e.lru = b.tick
-	base := arch.PPN(e.tag * uint64(b.cfg.PagesPerEntry))
-	for i := 0; i < b.cfg.PagesPerEntry; i++ {
-		p := base + arch.PPN(i)
-		if table.InBounds(p) {
-			e.perms[i] = table.Lookup(p)
-		} else {
-			e.perms[i] = arch.PermNone
-		}
-	}
+	table.LookupRange(arch.PPN(e.tag*uint64(b.cfg.PagesPerEntry)), e.perms)
 	return e.perms[b.slotOf(ppn)]
 }
 

@@ -39,6 +39,9 @@ type RangeBorder struct {
 	// ranges is the sorted, disjoint, coalesced mirror of the granted
 	// union window; its cardinality drives the modeled walk depth.
 	ranges []permRange
+	// spare is the second buffer addRange and setRange build the next
+	// range set into before swapping it with ranges.
+	spare []permRange
 	// policies holds the compiled grant-admission policy per ASID; a nil
 	// entry (or no entry) admits everything.
 	policies map[arch.ASID]*CompiledPolicy
@@ -306,7 +309,7 @@ func (rb *RangeBorder) addRange(lo, hi arch.PPN, perm arch.Perm) {
 	if perm == arch.PermNone || lo >= hi {
 		return
 	}
-	var out []permRange
+	out := rb.spare[:0]
 	add := func(l, h arch.PPN, p arch.Perm) {
 		if l >= h || p == arch.PermNone {
 			return
@@ -352,7 +355,7 @@ func (rb *RangeBorder) addRange(lo, hi arch.PPN, perm arch.Perm) {
 	if !placed {
 		add(cur.lo, cur.hi, cur.perm)
 	}
-	rb.ranges = out
+	rb.ranges, rb.spare = out, rb.ranges
 	rb.RangeUpdates.Inc()
 	if n := uint64(len(out)); n > rb.nodesHW {
 		rb.NodesHighWater.Add(n - rb.nodesHW)
@@ -362,7 +365,7 @@ func (rb *RangeBorder) addRange(lo, hi arch.PPN, perm arch.Perm) {
 
 // setRange overwrites [lo, hi) with perm (PermNone removes coverage).
 func (rb *RangeBorder) setRange(lo, hi arch.PPN, perm arch.Perm) {
-	var out []permRange
+	out := rb.spare[:0]
 	for _, r := range rb.ranges {
 		if r.hi <= lo || r.lo >= hi {
 			out = append(out, r)
@@ -375,7 +378,7 @@ func (rb *RangeBorder) setRange(lo, hi arch.PPN, perm arch.Perm) {
 			out = append(out, permRange{lo: hi, hi: r.hi, perm: r.perm})
 		}
 	}
-	rb.ranges = out
+	rb.ranges, rb.spare = out, rb.ranges
 	rb.RangeUpdates.Inc()
 	if perm.Border() != arch.PermNone {
 		rb.addRange(lo, hi, perm)

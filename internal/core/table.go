@@ -98,6 +98,30 @@ func (t *ProtectionTable) Lookup(ppn arch.PPN) arch.Perm {
 	return arch.Perm(b>>shiftFor(ppn)) & arch.PermRW
 }
 
+// LookupRange fills perms with the stored permissions of the len(perms)
+// pages from base, as Lookup would page by page; the BCC fill path. A
+// range inside the bounds register whose bits fit one table block is read
+// from memory at once; a range that crosses the bounds register is looked
+// up page by page.
+func (t *ProtectionTable) LookupRange(base arch.PPN, perms []arch.Perm) {
+	n := uint64(len(perms))
+	first := uint64(base) / pagesPerByte
+	last := (uint64(base) + n - 1) / pagesPerByte
+	if uint64(base)+n > t.boundPages || last-first >= arch.BlockSize {
+		for i := range perms {
+			perms[i] = t.Lookup(base + arch.PPN(i))
+		}
+		return
+	}
+	var buf [arch.BlockSize]byte
+	raw := buf[:last-first+1]
+	t.store.ReadInto(t.base+arch.Phys(first), raw)
+	for i := range perms {
+		p := base + arch.PPN(i)
+		perms[i] = arch.Perm(raw[uint64(p)/pagesPerByte-first]>>shiftFor(p)) & arch.PermRW
+	}
+}
+
 // Set overwrites the permissions for ppn.
 func (t *ProtectionTable) Set(ppn arch.PPN, p arch.Perm) {
 	if !t.InBounds(ppn) {
@@ -132,10 +156,4 @@ func (t *ProtectionTable) Merge(ppn arch.PPN, p arch.Perm) bool {
 // process initialization, full-flush downgrades, and process completion.
 func (t *ProtectionTable) Zero() {
 	t.store.ZeroRange(t.base, t.SizeBytes())
-}
-
-// ReadBlock copies the 128-byte table block containing ppn's entry into
-// buf; the BCC fill path.
-func (t *ProtectionTable) ReadBlock(ppn arch.PPN, buf *[arch.BlockSize]byte) {
-	t.store.ReadInto(t.BlockAddr(ppn), buf[:])
 }

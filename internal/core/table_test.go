@@ -153,11 +153,11 @@ func TestBlockAddr(t *testing.T) {
 	if pt.EntryAddr(0) != pt.Base() {
 		t.Error("entry 0 should be at the base")
 	}
-	var buf [arch.BlockSize]byte
+	var perms [PagesPerBlock]arch.Perm
 	pt.Set(0, arch.PermRead)
-	pt.ReadBlock(0, &buf)
-	if buf[0]&3 != byte(arch.PermRead) {
-		t.Error("ReadBlock contents wrong")
+	pt.LookupRange(0, perms[:])
+	if perms[0] != arch.PermRead {
+		t.Error("LookupRange contents wrong")
 	}
 }
 

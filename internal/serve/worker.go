@@ -17,7 +17,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -89,7 +88,6 @@ type workerRow struct {
 // failures travel in workerRow.Err.
 func RunWorker(ctx context.Context, stdin io.Reader, stdout io.Writer) error {
 	dec := json.NewDecoder(stdin)
-	out := bufio.NewWriter(stdout)
 	for {
 		var req workerRequest
 		if err := dec.Decode(&req); err == io.EOF {
@@ -97,15 +95,17 @@ func RunWorker(ctx context.Context, stdin io.Reader, stdout io.Writer) error {
 		} else if err != nil {
 			return fmt.Errorf("serve: worker: decoding request: %w", err)
 		}
-		if err := serveRequest(ctx, req, out); err != nil {
+		if err := serveRequest(ctx, req, stdout); err != nil {
 			return err
 		}
 	}
 }
 
-// serveRequest executes one request and writes its rows and end record.
-// Its traces are decoded for this request alone.
-func serveRequest(ctx context.Context, req workerRequest, out *bufio.Writer) error {
+// serveRequest executes one request and writes its rows and end record,
+// each in one write as soon as it is ready, so the orchestrator sees a
+// cell's row when the cell finishes. Its traces are decoded for this
+// request alone.
+func serveRequest(ctx context.Context, req workerRequest, out io.Writer) error {
 	traces := make(map[string]*tracerec.Trace, len(req.Traces))
 	for _, wt := range req.Traces {
 		sum := sha256.Sum256(wt.Data)
@@ -163,7 +163,7 @@ func serveRequest(ctx context.Context, req workerRequest, out *bufio.Writer) err
 	if encErr != nil {
 		return fmt.Errorf("serve: worker: emitting rows: %w", encErr)
 	}
-	return out.Flush()
+	return nil
 }
 
 // rebuild turns a wire cell back into a runnable SweepCell, mirroring

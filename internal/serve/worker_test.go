@@ -151,28 +151,7 @@ func TestSweepFanoutInProcess(t *testing.T) {
 // the EOF after the second request.
 func TestRunWorkerRoundTrip(t *testing.T) {
 	cells := tinyGrid(t)
-	hashOf := map[*tracerec.Trace]string{}
-	var wts []workerTrace
-	for _, c := range cells {
-		if _, ok := hashOf[c.Trace]; ok {
-			continue
-		}
-		blob, err := tracerec.Encode(c.Trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := blobHash(blob)
-		hashOf[c.Trace] = h
-		wts = append(wts, workerTrace{Hash: h, Data: blob})
-	}
-	req := workerRequest{Jobs: 1, Traces: wts}
-	for i, c := range cells {
-		req.Cells = append(req.Cells, workerCell{
-			Index: i, Label: c.Label, Trace: hashOf[c.Trace],
-			Mode: harness.ModeSlug(c.Mode), Class: harness.ClassSlug(c.Class),
-			Border: c.P.Border,
-		})
-	}
+	req := serialRequest(t, cells)
 	var in, out bytes.Buffer
 	for range 2 {
 		if err := json.NewEncoder(&in).Encode(req); err != nil {
@@ -227,6 +206,63 @@ func TestRunWorkerRoundTrip(t *testing.T) {
 	cut.Truncate(cut.Len() / 2)
 	if err := RunWorker(context.Background(), &cut, io.Discard); err == nil {
 		t.Error("RunWorker on a truncated request: want an error")
+	}
+}
+
+// serialRequest is the worker request for cells at Jobs 1, shipping each
+// distinct trace once.
+func serialRequest(t *testing.T, cells []harness.SweepCell) workerRequest {
+	t.Helper()
+	hashOf := map[*tracerec.Trace]string{}
+	req := workerRequest{Jobs: 1}
+	for i, c := range cells {
+		if _, ok := hashOf[c.Trace]; !ok {
+			blob, err := tracerec.Encode(c.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashOf[c.Trace] = blobHash(blob)
+			req.Traces = append(req.Traces, workerTrace{Hash: hashOf[c.Trace], Data: blob})
+		}
+		req.Cells = append(req.Cells, workerCell{
+			Index: i, Label: c.Label, Trace: hashOf[c.Trace],
+			Mode: harness.ModeSlug(c.Mode), Class: harness.ClassSlug(c.Class),
+			Border: c.P.Border,
+		})
+	}
+	return req
+}
+
+// writeCounter counts the writes made to it.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestRunWorkerWritesEachRow: a worker writes each row as its cell
+// finishes, and then the end record, rather than holding rows back until a
+// buffer fills or the request ends — the orchestrator's progress events
+// follow cells.
+func TestRunWorkerWritesEachRow(t *testing.T) {
+	req := serialRequest(t, tinyGrid(t)[:3])
+	var in bytes.Buffer
+	if err := json.NewEncoder(&in).Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	var out writeCounter
+	if err := RunWorker(context.Background(), &in, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(req.Cells) + 1; out.writes != want {
+		t.Errorf("worker made %d writes for %d rows and the end record, want %d", out.writes, len(req.Cells), want)
+	}
+	if n := bytes.Count(out.Bytes(), []byte("\n")); n != len(req.Cells)+1 {
+		t.Errorf("worker wrote %d records, want %d", n, len(req.Cells)+1)
 	}
 }
 
