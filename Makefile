@@ -166,9 +166,15 @@ sweep-smoke:
 # same sweep grid; each artifact is byte-compared against the in-process
 # `bctool sweep` CSV. A second submission to the last daemon must be a
 # cache hit (no re-execution, logged on stderr) with identical bytes.
-# Each daemon keeps its warm workers as children between jobs, and none of
-# them may outlive the daemon's exit on SIGTERM.
+# That daemon then serves one job of every other kind, each byte-compared
+# against the local command with the same flags; refuses the sweeps its
+# local form refuses; and refuses, at admission, a sweep past its caps
+# that the local command runs. Each daemon keeps its warm workers as
+# children between jobs, and none of them may outlive the daemon's exit
+# on SIGTERM.
 SERVE_SMOKE_AXES = -traffic bursty,stream -seeds 1 -modes bc-nobcc,bc-bcc -borders flat -classes moderate -csv
+SERVE_SMOKE_JOBS = "run" "fleet -tenants 2 -churn-ps 0 -spread-ps 0" "adversary -campaigns 1"
+SERVE_SMOKE_CAPPED = -seeds 100 -modes bc-bcc -borders flat -classes moderate
 SERVE_SMOKE_REAPED = for k in $$kids; do if kill -0 $$k 2>/dev/null; then echo "serve-smoke: worker $$k outlived the daemon"; exit 1; fi; done
 serve-smoke:
 	$(GO) build -o serve-smoke-bctool ./cmd/bctool
@@ -190,11 +196,22 @@ serve-smoke:
 		sweep $(SERVE_SMOKE_AXES) > serve-smoke-b.csv 2>serve-smoke-b.err || { kill $$pid; exit 1; }; \
 	grep -q "cache hit" serve-smoke-b.err || { kill $$pid; exit 1; }; \
 	cmp serve-smoke-a.csv serve-smoke-b.csv || { kill $$pid; exit 1; }; \
+	for job in $(SERVE_SMOKE_JOBS); do \
+		./serve-smoke-bctool $$job > serve-smoke-job-local.txt 2>/dev/null || { kill $$pid; exit 1; }; \
+		./serve-smoke-bctool submit -addr http://127.0.0.1:18346 -quiet $$job > serve-smoke-job.txt || { kill $$pid; exit 1; }; \
+		cmp serve-smoke-job-local.txt serve-smoke-job.txt || { echo "serve-smoke: $$job differs"; kill $$pid; exit 1; }; \
+	done; \
+	for bad in "-seeds 0" "-traffic ''"; do \
+		! eval ./serve-smoke-bctool sweep $$bad -quiet 2>/dev/null || { kill $$pid; exit 1; }; \
+		! eval ./serve-smoke-bctool submit -addr http://127.0.0.1:18346 -quiet sweep $$bad 2>/dev/null || { kill $$pid; exit 1; }; \
+	done; \
+	./serve-smoke-bctool sweep $(SERVE_SMOKE_CAPPED) -quiet > /dev/null || { kill $$pid; exit 1; }; \
+	! ./serve-smoke-bctool submit -addr http://127.0.0.1:18346 -quiet sweep $(SERVE_SMOKE_CAPPED) 2>/dev/null || { kill $$pid; exit 1; }; \
 	kids=$$(ps -o pid= --ppid $$pid); \
 	test -n "$$kids" || { kill $$pid; exit 1; }; \
 	kill $$pid; wait $$pid; test $$? -eq 130 || exit 1; \
 	$(SERVE_SMOKE_REAPED)
-	rm -f serve-smoke-bctool serve-smoke-local.csv serve-smoke-1.csv serve-smoke-2.csv serve-smoke-4.csv serve-smoke-a.csv serve-smoke-b.csv serve-smoke-b.err
+	rm -f serve-smoke-bctool serve-smoke-local.csv serve-smoke-1.csv serve-smoke-2.csv serve-smoke-4.csv serve-smoke-a.csv serve-smoke-b.csv serve-smoke-b.err serve-smoke-job-local.txt serve-smoke-job.txt
 
 # Telemetry smoke: the fleet observability plane end to end. A daemon
 # answers `submit -ping`, serves a sweep, and its /v1/metrics page must

@@ -76,9 +76,19 @@
 //	                                       a -stats-json document's schema
 //	bctool list                            list workloads and modes
 //
-// Figure, security and all accept -jobs N (0 = all cores, 1 = serial),
-// -timeout D (per simulation) and -quiet (suppress progress lines). Any
-// failed job makes bctool exit non-zero.
+// run, sweep, adversary and fleet are the experiment service's job kinds.
+// Each declares its job flags once (serve.Flags), so `bctool submit X
+// ARGS` sends exactly the spec `bctool X ARGS` runs, and the daemon runs
+// it through the same function: both print the same artifact. replay
+// takes run's job flags. The local-only flags shape how a command runs
+// and what it reports beside its artifact, never the artifact: -jobs,
+// -timeout, -quiet, adversary's -shards, the observability flags below,
+// sweep -traces and replay's FILE. Only `submit sweep` takes -workers.
+//
+// The figures, security, all, adversary and profile accept -jobs N (0 =
+// all cores, 1 = serial), -timeout D (per simulation) and -quiet (suppress
+// progress lines); sweep takes -jobs and -quiet, and run, replay and
+// fleet -timeout. Any failed job makes bctool exit non-zero.
 //
 // run, replay, the figures, security, all, adversary and bench accept
 // -border NAME, selecting the protection architecture the BC modes use
@@ -87,15 +97,16 @@
 // The figures and borders accept -csv (or a leading csv operand); all and
 // security refuse it, since the tables and the matrix have no CSV form.
 //
-// Figures, run, adversary and fleet also accept -shards N, which executes
-// each simulation on the sharded conservative-parallel engine with N
-// worker goroutines. Sharding is execution machinery, not model input:
-// every artifact is byte-identical between -shards=1 and -shards=4 (and
-// the direct engine). Fleets are where extra workers buy wall-clock time;
-// single-accelerator runs are one determinism domain and use it as a
-// residue-freedom proof.
+// Figures, run, sweep, adversary and fleet also accept -shards N, which
+// executes each simulation on the sharded conservative-parallel engine
+// with N worker goroutines. Sharding is execution machinery, not model
+// input: every artifact is byte-identical between -shards=1 and -shards=4
+// (and the direct engine). Fleets are where extra workers buy wall-clock
+// time; single-accelerator runs are one determinism domain and use it as
+// a residue-freedom proof.
 //
-// Observability (run, figures and all):
+// Observability (run, replay, fleet, the figures and all; a fleet records
+// no trace):
 //
 //	-stats-json FILE   write the sweep's merged metrics snapshot as JSON
 //	-hist              print the latency histograms (count/p50/p90/p99/max
@@ -132,6 +143,7 @@ import (
 	"time"
 
 	bc "bordercontrol"
+	"bordercontrol/internal/serve"
 )
 
 func main() {
@@ -154,18 +166,10 @@ func main() {
 		fmt.Print(bc.RenderTable3(bc.DefaultParams()))
 	case "fig4", "fig5", "fig6", "fig7", "borders", "security", "all":
 		err = sweep(ctx, cmd, args)
-	case "adversary":
-		err = adversaryCmd(ctx, args)
-	case "run":
-		err = runOne(ctx, args, false)
+	case "run", "replay", "sweep", "adversary", "fleet":
+		err = jobCmd(ctx, cmd, args)
 	case "record":
 		err = recordCmd(args)
-	case "replay":
-		err = runOne(ctx, args, true)
-	case "sweep":
-		err = sweepReplay(ctx, args)
-	case "fleet":
-		err = fleetCmd(ctx, args)
 	case "serve":
 		err = serveCmd(ctx, args)
 	case "worker":
@@ -209,14 +213,20 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: bctool <table1|table2|table3|fig4|fig5|fig6|fig7|borders|security|adversary|all|run|record|replay|sweep|fleet|serve|worker|submit|top|sweepdiff|profile|bench|tracecheck|list> [csv]
 	[-border NAME] [-jobs N] [-shards N] [-timeout D] [-quiet] [-stats-json FILE] [-hist] [-trace FILE] [-trace-cats LIST] [-metrics]
 	serve:     run the experiment service (-addr, -workers, -jobs, -queue, -cache-size, -watch-buffer, -log-level)
-	submit:    send a job to a running service and stream it (-addr, -wait, -ping, then run|sweep|adversary|fleet + flags)
+	submit:    send a job to a running service and stream it (-addr, -wait, -ping, then run|sweep|adversary|fleet + their job flags)
 	top:       live dashboard over a running service (-addr, -interval, -once, -raw, -require FAMILIES)
 	sweepdiff: compare two sweep CSV/stats artifacts (-rel FRAC, -tol m=f,.., -stats OLD NEW); non-zero exit on drift
 	worker:    internal — sweep-cell executor spawned by serve`)
 }
 
-// obsFlags are the observability knobs shared by run and the sweeps.
-type obsFlags struct {
+// localFlags are the local-only flags: they shape how a command runs and
+// what it reports beside its artifact, never the artifact itself, so
+// `bctool submit` takes none of them.
+type localFlags struct {
+	jobs      int
+	shards    int
+	timeout   time.Duration
+	quiet     bool
 	statsJSON string
 	tracePath string
 	traceCats string
@@ -224,25 +234,56 @@ type obsFlags struct {
 	hist      bool
 }
 
-func (o *obsFlags) register(fs *flag.FlagSet) {
-	fs.StringVar(&o.statsJSON, "stats-json", "", "write the metrics snapshot as JSON to this file (- = stdout)")
-	fs.StringVar(&o.tracePath, "trace", "", "record a Chrome trace-event file (open in Perfetto)")
-	fs.StringVar(&o.traceCats, "trace-cats", "engine,gpu,border",
-		"comma-separated trace categories; a parent enables its children (border includes border.check)")
-	fs.BoolVar(&o.metrics, "metrics", false, "print the metrics snapshot to stderr")
-	fs.BoolVar(&o.hist, "hist", false, "print the latency histograms (simulated ps) to stderr")
+// register declares the named local-only flags on fs: each command names
+// the ones it accepts ("trace" brings -trace-cats along).
+func (l *localFlags) register(fs *flag.FlagSet, names ...string) {
+	for _, name := range names {
+		switch name {
+		case "jobs":
+			fs.IntVar(&l.jobs, name, 0, "concurrent simulations (0 = all cores, 1 = serial); output is byte-identical at any setting")
+		case "shards":
+			fs.IntVar(&l.shards, name, 0, "run each simulation on the sharded engine with this many workers (0 = direct engine); output is byte-identical at any setting")
+		case "timeout":
+			fs.DurationVar(&l.timeout, name, 0, "per-simulation timeout (0 = none)")
+		case "quiet":
+			fs.BoolVar(&l.quiet, name, false, "suppress progress lines on stderr")
+		case "stats-json":
+			fs.StringVar(&l.statsJSON, name, "", "write the metrics snapshot as JSON to this file (- = stdout)")
+		case "metrics":
+			fs.BoolVar(&l.metrics, name, false, "print the metrics snapshot to stderr")
+		case "hist":
+			fs.BoolVar(&l.hist, name, false, "print the latency histograms (simulated ps) to stderr")
+		case "trace":
+			fs.StringVar(&l.tracePath, name, "", "record a Chrome trace-event file (open in Perfetto)")
+			fs.StringVar(&l.traceCats, "trace-cats", "engine,gpu,border",
+				"comma-separated trace categories; a parent enables its children (border includes border.check)")
+		default:
+			panic("bctool: no local flag -" + name)
+		}
+	}
+}
+
+// exec is the execution the flags select for a figure sweep or a profile,
+// with a tracker printing per-job progress to stderr.
+func (l *localFlags) exec() (bc.Exec, *tracker) {
+	t := &tracker{quiet: l.quiet}
+	ex := bc.Exec{Jobs: l.jobs, Timeout: l.timeout, Progress: t.done, Shards: l.shards}
+	if l.tracePath != "" {
+		ex.Trace = bc.NewTraceSet(l.traceCats)
+	}
+	return ex, t
 }
 
 // emitStats writes/prints the snapshot per the -stats-json, -metrics and
 // -hist flags.
-func (o *obsFlags) emitStats(snap bc.Snapshot) error {
-	if o.metrics {
+func (l *localFlags) emitStats(snap bc.Snapshot) error {
+	if l.metrics {
 		fmt.Fprint(os.Stderr, snap.String())
 	}
-	if o.hist {
+	if l.hist {
 		printHistograms(snap)
 	}
-	if o.statsJSON == "" {
+	if l.statsJSON == "" {
 		return nil
 	}
 	blob, err := json.MarshalIndent(snap, "", "  ")
@@ -250,11 +291,11 @@ func (o *obsFlags) emitStats(snap bc.Snapshot) error {
 		return err
 	}
 	blob = append(blob, '\n')
-	if o.statsJSON == "-" {
+	if l.statsJSON == "-" {
 		_, err = os.Stdout.Write(blob)
 		return err
 	}
-	return os.WriteFile(o.statsJSON, blob, 0o644)
+	return os.WriteFile(l.statsJSON, blob, 0o644)
 }
 
 // printHistograms renders every histogram sample of the snapshot as a
@@ -273,50 +314,43 @@ func printHistograms(snap bc.Snapshot) {
 	}
 }
 
-// writeTrace writes any recorded trace to -trace.
-func writeTrace(path string, w interface{ WriteJSON(io.Writer) error }) error {
+// writeFile writes one output file through write, then notes it on
+// stderr.
+func writeFile(path string, write func(io.Writer) error, note string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := w.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "trace written to %s\n", path)
+	fmt.Fprintln(os.Stderr, note)
 	return nil
 }
 
-// execFlags are the execution-layer knobs shared by every sweep command.
-type execFlags struct {
-	jobs    int
-	shards  int
-	timeout time.Duration
-	quiet   bool
-	csv     bool
-	border  string
-	obs     obsFlags
+// figureFlags are the flags of the figures, borders, security and all.
+type figureFlags struct {
+	localFlags
+	csv    bool
+	border string
 }
 
-// parseExec parses sweep flags; a leading "csv" operand is accepted for
+// parseExec parses figure flags; a leading "csv" operand is accepted for
 // backward compatibility with `bctool fig4 csv`.
-func parseExec(name string, args []string) (execFlags, error) {
-	var f execFlags
+func parseExec(name string, args []string) (figureFlags, error) {
+	var f figureFlags
 	if len(args) > 0 && args[0] == "csv" {
 		f.csv = true
 		args = args[1:]
 	}
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	fs.IntVar(&f.jobs, "jobs", 0, "concurrent simulations (0 = all cores, 1 = serial)")
-	fs.IntVar(&f.shards, "shards", 0, "run each simulation on the sharded engine with this many workers (0 = direct engine); artifacts are byte-identical at any setting")
-	fs.DurationVar(&f.timeout, "timeout", 0, "per-simulation timeout (0 = none)")
-	fs.BoolVar(&f.quiet, "quiet", false, "suppress per-job progress lines on stderr")
+	f.register(fs, "jobs", "shards", "timeout", "quiet", "stats-json", "trace", "metrics", "hist")
 	fs.BoolVar(&f.csv, "csv", f.csv, "emit CSV instead of a text table")
 	fs.StringVar(&f.border, "border", "", "border design for the BC modes (see bctool list; default "+bc.DefaultBorderDesign+"); borders sweeps every design regardless")
-	f.obs.register(fs)
 	err := fs.Parse(args)
 	if err == nil && f.csv && (name == "all" || name == "security") {
 		err = fmt.Errorf("%s: no CSV form; the figures and borders export CSV", name)
@@ -358,11 +392,7 @@ func sweep(ctx context.Context, cmd string, args []string) error {
 	if err != nil {
 		return err
 	}
-	t := tracker{quiet: f.quiet}
-	ex := bc.Exec{Jobs: f.jobs, Timeout: f.timeout, Progress: t.done, Shards: f.shards}
-	if f.obs.tracePath != "" {
-		ex.Trace = bc.NewTraceSet(f.obs.traceCats)
-	}
+	ex, t := f.exec()
 	p := bc.DefaultParams()
 	if f.border != "" {
 		p.Border = f.border
@@ -444,217 +474,105 @@ func sweep(ctx context.Context, cmd string, args []string) error {
 			fmt.Println(fig.Render())
 		}
 	}
-	if err := f.obs.emitStats(bc.MergeSnapshots(snaps...)); err != nil {
+	if err := f.emitStats(bc.MergeSnapshots(snaps...)); err != nil {
 		return err
 	}
 	if ex.Trace != nil {
-		return writeTrace(f.obs.tracePath, ex.Trace)
+		return writeFile(f.tracePath, ex.Trace.WriteJSON, "trace written to "+f.tracePath)
 	}
 	return nil
 }
 
-// adversaryCmd runs the seeded sandbox-escape campaigns. The report is a
-// pure function of -seed/-campaigns/-attacks: the same flags render
-// byte-identically at any parallelism. A breached invariant exits non-zero
-// after printing one reproducing command per failing attack.
-func adversaryCmd(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("adversary", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "base campaign seed (campaign i uses seed+i)")
-	campaigns := fs.Int("campaigns", 4, "number of campaigns (each rotates the protocol variant)")
-	attacks := fs.String("attacks", "", "comma-separated attack names (empty = all: "+strings.Join(bc.AdversaryAttacks(), ",")+")")
-	border := fs.String("border", "", "border design under attack (see bctool list; default "+bc.DefaultBorderDesign+")")
-	jobs := fs.Int("jobs", 0, "concurrent attack runs (0 = all cores, 1 = serial)")
-	shards := fs.Int("shards", 0, "assemble each campaign system on the sharded engine (0 = direct engine); reports are byte-identical either way")
-	timeout := fs.Duration("timeout", 0, "per-run timeout (0 = none)")
-	quiet := fs.Bool("quiet", false, "suppress per-run progress lines on stderr")
-	statsJSON := fs.String("stats-json", "", "write the campaign's aggregate counters as JSON to this file (- = stdout)")
-	metrics := fs.Bool("metrics", false, "print the campaign's aggregate counters to stderr")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var names []string
-	if *attacks != "" {
-		for _, a := range strings.Split(*attacks, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				names = append(names, a)
-			}
-		}
-	}
-	var t tracker
-	t.quiet = *quiet
-	ex := bc.Exec{Jobs: *jobs, Timeout: *timeout, Progress: t.done, Shards: *shards}
-	p := bc.DefaultParams()
-	if *border != "" {
-		p.Border = *border
-	}
-	rep, err := bc.RunAdversary(ctx, ex, p, *seed, *campaigns, names)
+// jobCmd runs a job kind locally (`bctool run|replay|sweep|adversary|
+// fleet`): the daemon's plan and run in this process (serve.Run). The
+// artifact goes to stdout, the job's progress notes to stderr, and its
+// metrics snapshot to the observability flags. A job whose verdict fails
+// (wrong results, a breached sandbox) prints its artifact and exits
+// non-zero.
+func jobCmd(ctx context.Context, cmd string, args []string) error {
+	j, err := parseJob(cmd, args)
 	if err != nil {
 		return err
 	}
-	fmt.Print(bc.RenderAdversaryReport(rep))
-	obs := obsFlags{statsJSON: *statsJSON, metrics: *metrics}
-	if err := obs.emitStats(rep.Stats()); err != nil {
+	art, snap, err := serve.Run(ctx, j.req, j.env)
+	if art == "" {
 		return err
 	}
-	if rep.Failed() {
-		return fmt.Errorf("sandbox breached — see the reproducing seeds above")
-	}
-	return nil
-}
-
-// runOne executes one workload (`bctool run`) or replays one recording
-// (`bctool replay [flags] FILE`). The two share every flag and every line
-// of output: replaying a workload's recording prints byte-identical stdout
-// to running the workload live — `make replay-smoke` diffs exactly that.
-// Replaying a multi-segment or probed recording (synthetic traffic) prints
-// the trace-run report instead.
-func runOne(ctx context.Context, args []string, replay bool) error {
-	cmdName := "run"
-	if replay {
-		cmdName = "replay"
-	}
-	fs := flag.NewFlagSet(cmdName, flag.ContinueOnError)
-	mode := fs.String("mode", "bc-bcc", "safety configuration (see bctool list)")
-	class := fs.String("class", "high", "GPU class: high or moderate")
-	name := fs.String("workload", "bfs", "workload name")
-	border := fs.String("border", "", "border design for the BC modes (see bctool list; default "+bc.DefaultBorderDesign+")")
-	downgrades := fs.Float64("downgrades", 0, "permission downgrades per second to inject")
-	scale := fs.Int("scale", 1, "workload problem-size multiplier")
-	shards := fs.Int("shards", 0, "run on the sharded engine with this many workers (0 = direct engine); results are bit-identical either way")
-	timeout := fs.Duration("timeout", 0, "abort the simulation after this long (0 = none)")
-	var obs obsFlags
-	obs.register(fs)
-	if err := fs.Parse(args); err != nil {
+	fmt.Print(art)
+	if err := j.emitStats(snap); err != nil {
 		return err
 	}
-	m, err := bc.ParseMode(*mode)
-	if err != nil {
-		return err
-	}
-	cl, err := bc.ParseClass(*class)
-	if err != nil {
-		return err
-	}
-	p := bc.DefaultParams()
-	p.Scale = *scale
-	if *border != "" {
-		p.Border = *border
-	}
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	opts := bc.RunOptions{DowngradesPerSec: *downgrades, Shards: *shards}
-	var tr *bc.Tracer
-	if obs.tracePath != "" {
-		tr = bc.NewTracer(obs.traceCats)
-		opts.Tracer = tr
-	}
-	var res bc.Result
-	if replay {
-		if fs.NArg() != 1 {
-			return fmt.Errorf("usage: bctool replay [flags] FILE.bctrace")
-		}
-		var rec *bc.RefTrace
-		if rec, err = bc.ReadTraceFile(fs.Arg(0)); err != nil {
-			return err
-		}
-		// A single benign segment of a known workload replays through the
-		// exact same path (and printer) as `bctool run`; anything else —
-		// multi-tenant churn, probed mixes — goes through the trace runner.
-		single := len(rec.Segments) == 1 && len(rec.Segments[0].Probes) == 0
-		if !single || !knownWorkload(rec.Workload) {
-			return replayTraceRun(ctx, m, cl, rec, p, opts, obs)
-		}
-		res, err = bc.ReplayCtx(ctx, m, cl, rec, p, opts)
-	} else {
-		res, err = bc.RunCtx(ctx, m, cl, *name, p, opts)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Render())
-	fmt.Fprintf(os.Stderr, "host: %s wall, %d events, %.0f events/sec\n",
-		fmtDur(res.Host.Wall), res.Host.Events, res.Host.EventsPerSec)
-	if err := obs.emitStats(res.Stats); err != nil {
-		return err
-	}
-	if tr != nil {
-		if err := writeTrace(obs.tracePath, tr); err != nil {
+	if j.env.Tracer != nil {
+		if err := writeFile(j.tracePath, j.env.Tracer.WriteJSON, "trace written to "+j.tracePath); err != nil {
 			return err
 		}
 	}
-	if res.VerifyErr != nil {
-		return fmt.Errorf("results INCORRECT: %w", res.VerifyErr)
-	}
-	fmt.Println("results       verified correct")
-	return nil
+	return err
 }
 
-// fleetCmd runs a fleet: many tenant accelerator sandboxes on one sharded
-// conservative-parallel simulation, coordinated by a host shard whose
-// launch doorbells, completion interrupts and downgrade commands are the
-// cross-shard border messages. The printed report is byte-identical at any
-// -shards setting; the host line on stderr is the only wall-clock output.
-func fleetCmd(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
-	def := bc.DefaultFleetParams()
-	tenants := fs.Int("tenants", def.Tenants, "tenant accelerator sandboxes (one shard each, plus the host shard)")
-	mode := fs.String("mode", "bc-bcc", "safety configuration every tenant runs under (see bctool list)")
-	class := fs.String("class", "moderate", "GPU class: high or moderate")
-	name := fs.String("workload", "pathfinder", "workload every tenant runs")
-	shards := fs.Int("shards", 0, "worker goroutines executing shards (0 = all cores, 1 = serial); the report is byte-identical at any setting")
-	lookahead := fs.Int64("lookahead-ps", int64(def.Lookahead), "host<->accelerator crossing latency in simulated ps (the conservative window)")
-	spread := fs.Int64("spread-ps", int64(def.LaunchSpread), "stagger tenant launches over this much simulated ps (seeded)")
-	churn := fs.Int64("churn-ps", int64(def.DowngradeEvery), "host downgrade-command cadence in simulated ps (0 = no churn)")
-	seed := fs.Int64("seed", def.Seed, "seed for launch jitter and churn targeting")
-	scale := fs.Int("scale", 1, "workload problem-size multiplier")
-	timeout := fs.Duration("timeout", 0, "abort the fleet after this long (0 = none)")
-	var obs obsFlags
-	obs.register(fs)
+// localJob is a local job command parsed: the request `bctool submit`
+// sends for the same job flags, and the in-process environment the
+// local-only flags select.
+type localJob struct {
+	req serve.Request
+	env serve.Env
+	localFlags
+}
+
+// parseJob parses a local job command. serve.Flags declares its job flags
+// for `bctool submit` too; replay takes run's, plus the recording it
+// replays.
+func parseJob(cmd string, args []string) (localJob, error) {
+	typ := cmd
+	if cmd == "replay" {
+		typ = "run"
+	}
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	var j localJob
+	spec, err := serve.Flags(typ, fs, &j.env)
+	if err != nil {
+		return j, err
+	}
+	var traces *string
+	switch typ {
+	case "run", "fleet":
+		j.register(fs, "timeout", "stats-json", "trace", "metrics", "hist")
+	case "sweep":
+		j.register(fs, "jobs", "quiet")
+		traces = fs.String("traces", "", "comma-separated recorded .bctrace files to include")
+	case "adversary":
+		j.register(fs, "jobs", "shards", "timeout", "quiet", "stats-json", "metrics")
+	}
 	if err := fs.Parse(args); err != nil {
-		return err
+		return j, err
 	}
-	m, err := bc.ParseMode(*mode)
-	if err != nil {
-		return err
+	files := fs.Args()
+	switch {
+	case cmd == "replay" && len(files) != 1:
+		return j, fmt.Errorf("usage: bctool replay [flags] FILE.bctrace")
+	case cmd != "replay" && len(files) > 0:
+		return j, fmt.Errorf("%s: unexpected argument %q", cmd, files[0])
+	case traces != nil:
+		files = splitList(*traces)
 	}
-	cl, err := bc.ParseClass(*class)
-	if err != nil {
-		return err
+	if j.req, err = spec(); err != nil {
+		return j, err
 	}
-	p := bc.DefaultParams()
-	p.Scale = *scale
-	fp := bc.FleetParams{
-		Tenants:        *tenants,
-		Mode:           m,
-		Class:          cl,
-		Lookahead:      bc.Time(*lookahead),
-		LaunchSpread:   bc.Time(*spread),
-		DowngradeEvery: bc.Time(*churn),
-		Seed:           *seed,
-		Workers:        *shards,
+	for _, path := range files {
+		rec, err := bc.ReadTraceFile(path)
+		if err != nil {
+			return j, err
+		}
+		j.env.Traces = append(j.env.Traces, rec)
 	}
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+	j.env.Jobs, j.env.Timeout, j.env.Shards = j.jobs, j.timeout, j.shards
+	if !j.quiet {
+		j.env.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 	}
-	res, err := bc.RunFleetCtx(ctx, p, fp, *name)
-	if err != nil {
-		return err
+	if typ == "run" && j.tracePath != "" {
+		j.env.Tracer = bc.NewTracer(j.traceCats)
 	}
-	fmt.Print(res.Render())
-	fmt.Fprintf(os.Stderr, "host: %s wall, %d events, %.0f events/sec\n",
-		fmtDur(res.Host.Wall), res.Host.Events, res.Host.EventsPerSec)
-	if err := obs.emitStats(res.Stats); err != nil {
-		return err
-	}
-	if res.Verified != res.Tenants {
-		return fmt.Errorf("%d of %d tenants produced INCORRECT results", res.Tenants-res.Verified, res.Tenants)
-	}
-	return nil
+	return j, nil
 }
 
 // profileCmd runs the bench matrix (or one -mode/-class cell) with the
@@ -669,9 +587,8 @@ func profileCmd(ctx context.Context, args []string) error {
 	class := fs.String("class", "high", "GPU class for -mode: high or moderate")
 	folded := fs.String("folded", "", "write folded-stacks text (flamegraph input) to this file (- = stdout)")
 	pprofPath := fs.String("pprof", "", "write a pprof protobuf to this file (open with `go tool pprof`)")
-	jobs := fs.Int("jobs", 0, "concurrent simulations (0 = all cores, 1 = serial)")
-	timeout := fs.Duration("timeout", 0, "per-simulation timeout (0 = none)")
-	quiet := fs.Bool("quiet", false, "suppress per-job progress lines on stderr")
+	var l localFlags
+	l.register(fs, "jobs", "timeout", "quiet")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -691,9 +608,7 @@ func profileCmd(ctx context.Context, args []string) error {
 		}
 		pr = p
 	} else {
-		var t tracker
-		t.quiet = *quiet
-		ex := bc.Exec{Jobs: *jobs, Timeout: *timeout, Progress: t.done}
+		ex, _ := l.exec()
 		p, err := bc.Profile(ctx, ex, bc.DefaultParams(), *workloadName)
 		if err != nil {
 			return err
@@ -703,39 +618,18 @@ func profileCmd(ctx context.Context, args []string) error {
 	if *folded == "" && *pprofPath == "" {
 		*folded = "-"
 	}
-	if *folded != "" {
-		if *folded == "-" {
-			if err := pr.WriteFolded(os.Stdout); err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Create(*folded)
-			if err != nil {
-				return err
-			}
-			if err := pr.WriteFolded(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "folded stacks written to %s\n", *folded)
+	if *folded == "-" {
+		if err := pr.WriteFolded(os.Stdout); err != nil {
+			return err
+		}
+	} else if *folded != "" {
+		if err := writeFile(*folded, pr.WriteFolded, "folded stacks written to "+*folded); err != nil {
+			return err
 		}
 	}
 	if *pprofPath != "" {
-		f, err := os.Create(*pprofPath)
-		if err != nil {
-			return err
-		}
-		if err := pr.WritePprof(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "pprof profile written to %s (go tool pprof -top %s)\n", *pprofPath, *pprofPath)
+		return writeFile(*pprofPath, pr.WritePprof,
+			fmt.Sprintf("pprof profile written to %s (go tool pprof -top %s)", *pprofPath, *pprofPath))
 	}
 	return nil
 }
@@ -1067,59 +961,6 @@ func traceCheck(args []string) error {
 	return nil
 }
 
-func knownWorkload(name string) bool {
-	for _, w := range bc.Workloads() {
-		if w == name {
-			return true
-		}
-	}
-	return false
-}
-
-// replayTraceRun executes a multi-segment or probed recording and prints
-// the trace-run report. A safe mode granting any adversarial probe is a
-// sandbox breach and exits non-zero, as does any segment image mismatch.
-func replayTraceRun(ctx context.Context, m bc.Mode, cl bc.GPUClass, rec *bc.RefTrace, p bc.Params, opts bc.RunOptions, obs obsFlags) error {
-	res, err := bc.RunTraceCtx(ctx, m, cl, rec, p, opts)
-	if err != nil {
-		return err
-	}
-	var granted, denied uint64
-	var verifyErr error
-	for _, s := range res.Segments {
-		granted += s.ProbesGranted
-		denied += s.ProbesDenied
-		if s.VerifyErr != nil && verifyErr == nil {
-			verifyErr = fmt.Errorf("segment %s: %w", s.Name, s.VerifyErr)
-		}
-	}
-	fmt.Printf("trace         %s (%d segments)\n", res.Workload, len(res.Segments))
-	fmt.Printf("mode          %v\n", res.Mode)
-	fmt.Printf("class         %v\n", res.Class)
-	fmt.Printf("sim time      %.3f ms\n", float64(res.SimTime)/1e9)
-	fmt.Printf("memory ops    %d\n", res.Ops)
-	if m == bc.BCNoBCC || m == bc.BCBCC {
-		fmt.Printf("BC checks     %d\n", res.BCChecks)
-		fmt.Printf("BCC miss      %.4f\n", res.BCCMissRatio)
-	}
-	if granted+denied > 0 {
-		fmt.Printf("probes        %d granted, %d denied\n", granted, denied)
-	}
-	fmt.Fprintf(os.Stderr, "host: %s wall, %d events, %.0f events/sec\n",
-		fmtDur(res.Host.Wall), res.Host.Events, res.Host.EventsPerSec)
-	if err := obs.emitStats(res.Stats); err != nil {
-		return err
-	}
-	if verifyErr != nil {
-		return fmt.Errorf("results INCORRECT: %w", verifyErr)
-	}
-	if m.Safe() && granted > 0 {
-		return fmt.Errorf("sandbox BREACHED: %d adversarial probe(s) granted under %v", granted, m)
-	}
-	fmt.Println("results       verified correct")
-	return nil
-}
-
 // recordCmd captures reference traces: workload generators (`-workload
 // bfs`, `-workload all`) or synthetic traffic (`-traffic churn`), written
 // as versioned, content-hashed .bctrace files.
@@ -1180,112 +1021,6 @@ func recordCmd(args []string) error {
 	}
 	return nil
 }
-
-// sweepReplay runs a replay sweep grid: traces (synthetic shapes x seeds,
-// plus any recorded files) crossed with mode/border/class axes. Replay
-// feeds recorded references back through the full border/ATS/cache path,
-// so a thousand-cell grid costs no generator time, and the whole artifact
-// is byte-identical at any -jobs and -shards setting.
-func sweepReplay(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	shapes := fs.String("traffic", "all", "comma-separated synthetic shapes, or 'all', or '' for none")
-	seeds := fs.Int("seeds", 1, "seeds per shape (1..N, one trace each)")
-	traces := fs.String("traces", "", "comma-separated recorded .bctrace files to include")
-	modes := fs.String("modes", "all", "comma-separated modes (see bctool list), or 'all'")
-	borders := fs.String("borders", "all", "comma-separated border designs for the BC modes, or 'all'")
-	classes := fs.String("classes", "both", "GPU classes: high, moderate, or both")
-	jobs := fs.Int("jobs", 0, "concurrent cells (0 = all cores, 1 = serial); output is byte-identical at any setting")
-	shards := fs.Int("shards", 0, "run each cell on the sharded engine with this many workers (0 = direct engine); output is byte-identical at any setting")
-	csv := fs.Bool("csv", false, "emit CSV instead of a text table")
-	quiet := fs.Bool("quiet", false, "suppress the summary line on stderr")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("sweep: unexpected argument %q (recorded files go in -traces)", fs.Arg(0))
-	}
-
-	trs := map[string]*bc.RefTrace{}
-	var names []string
-	add := func(name string, rec *bc.RefTrace) error {
-		if _, dup := trs[name]; dup {
-			return fmt.Errorf("sweep: duplicate trace name %q", name)
-		}
-		trs[name] = rec
-		names = append(names, name)
-		return nil
-	}
-	if *shapes != "" {
-		list := bc.TrafficShapes()
-		if *shapes != "all" {
-			list = splitList(*shapes)
-		}
-		for _, shape := range list {
-			for s := 1; s <= *seeds; s++ {
-				rec, err := bc.GenerateTraffic(bc.TrafficConfig{Shape: shape, Seed: uint64(s)})
-				if err != nil {
-					return err
-				}
-				if err := add(fmt.Sprintf("%s-s%d", shape, s), rec); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, path := range splitList(*traces) {
-		rec, err := bc.ReadTraceFile(path)
-		if err != nil {
-			return err
-		}
-		if err := add(rec.Workload, rec); err != nil {
-			return err
-		}
-	}
-	if len(names) == 0 {
-		return fmt.Errorf("sweep: no traces (empty -traffic and -traces)")
-	}
-
-	ms := []bc.Mode{bc.ATSOnly, bc.FullIOMMU, bc.CAPILike, bc.BCNoBCC, bc.BCBCC}
-	if *modes != "all" {
-		ms = ms[:0]
-		for _, s := range splitList(*modes) {
-			m, err := bc.ParseMode(s)
-			if err != nil {
-				return err
-			}
-			ms = append(ms, m)
-		}
-	}
-	bs := bc.BorderDesigns()
-	if *borders != "all" {
-		bs = splitList(*borders)
-	}
-	cls, err := bc.ParseClassList(*classes)
-	if err != nil {
-		return err
-	}
-
-	cells := bc.SweepGrid(trs, names, ms, bs, cls, bc.DefaultParams(), *shards)
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "sweep: %d cells (%d traces x modes/borders/classes), jobs=%d shards=%d\n",
-			len(cells), len(names), *jobs, *shards)
-	}
-	start := time.Now()
-	rows, err := bc.RunSweepCtx(ctx, cells, *jobs)
-	if err != nil {
-		return err
-	}
-	if *csv {
-		fmt.Print(bc.SweepCSV(rows))
-	} else {
-		fmt.Print(bc.RenderSweep(rows))
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "sweep: %d cells in %s\n", len(rows), fmtDur(time.Since(start)))
-	}
-	return nil
-}
-
 func splitList(s string) []string {
 	var out []string
 	for _, f := range strings.Split(s, ",") {

@@ -152,7 +152,7 @@ func submitCmd(ctx context.Context, args []string) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("submit: missing job type (run, sweep, adversary, fleet)")
 	}
-	req, err := buildRequest(fs.Arg(0), fs.Args()[1:])
+	req, err := submitRequest(fs.Arg(0), fs.Args()[1:])
 	if err != nil {
 		return err
 	}
@@ -194,94 +194,20 @@ func submitCmd(ctx context.Context, args []string) error {
 	return artErr
 }
 
-// buildRequest parses the per-type flags into a serve.Request. The flags
-// mirror the local commands (`bctool run`, `bctool sweep`, ...), so a
-// submission reads the same as the run it replaces.
-func buildRequest(typ string, args []string) (serve.Request, error) {
+// submitRequest parses the job flags of `bctool submit typ` into the
+// request it sends. serve.Flags declares them once for `bctool typ` too,
+// so the spec is exactly the one the local command runs.
+func submitRequest(typ string, args []string) (serve.Request, error) {
 	fs := flag.NewFlagSet("submit "+typ, flag.ContinueOnError)
-	switch typ {
-	case "run":
-		workload := fs.String("workload", "pathfinder", "workload name")
-		mode := fs.String("mode", "bc-bcc", "safety mode")
-		class := fs.String("class", "high", "GPU class")
-		border := fs.String("border", "", "border design for the BC modes")
-		scale := fs.Int("scale", 0, "workload scale override")
-		shards := fs.Int("shards", 0, "sharded-engine workers (0 = direct engine)")
-		downgrades := fs.Float64("downgrades", 0, "permission downgrades per simulated second")
-		if err := fs.Parse(args); err != nil {
-			return serve.Request{}, err
-		}
-		return serve.Request{Type: "run", Run: &serve.RunSpec{
-			Workload: *workload, Mode: *mode, Class: *class, Border: *border,
-			Scale: *scale, Shards: *shards, DowngradesPerSec: *downgrades,
-		}}, checkNoArgs(fs)
-	case "sweep":
-		traffic := fs.String("traffic", "all", "comma-separated synthetic shapes, or 'all'")
-		seeds := fs.Int("seeds", 1, "seeds per shape")
-		modes := fs.String("modes", "all", "comma-separated modes, or 'all'")
-		borders := fs.String("borders", "all", "comma-separated border designs, or 'all'")
-		classes := fs.String("classes", "both", "GPU classes: high, moderate, or both")
-		shards := fs.Int("shards", 0, "sharded-engine workers per cell")
-		csv := fs.Bool("csv", false, "emit CSV instead of a text table")
-		workers := fs.Int("workers", 0, fmt.Sprintf("worker processes (0 = daemon default, negative = in-process, at most %d)", serve.MaxSweepWorkers))
-		if err := fs.Parse(args); err != nil {
-			return serve.Request{}, err
-		}
-		spec := &serve.SweepSpec{
-			Seeds: *seeds, Classes: *classes, Shards: *shards,
-			CSV: *csv, Workers: *workers,
-		}
-		if *classes == "both" {
-			spec.Classes = ""
-		}
-		if *traffic != "all" {
-			spec.Traffic = splitList(*traffic)
-		}
-		if *modes != "all" {
-			spec.Modes = splitList(*modes)
-		}
-		if *borders != "all" {
-			spec.Borders = splitList(*borders)
-		}
-		return serve.Request{Type: "sweep", Sweep: spec}, checkNoArgs(fs)
-	case "adversary":
-		seed := fs.Int64("seed", 0, "campaign seed (0 = default)")
-		campaigns := fs.Int("campaigns", 0, "campaigns per attack (0 = default)")
-		attacks := fs.String("attacks", "", "comma-separated attack names (empty = all)")
-		border := fs.String("border", "", "border design")
-		if err := fs.Parse(args); err != nil {
-			return serve.Request{}, err
-		}
-		return serve.Request{Type: "adversary", Adversary: &serve.AdversarySpec{
-			Seed: *seed, Campaigns: *campaigns, Attacks: splitList(*attacks), Border: *border,
-		}}, checkNoArgs(fs)
-	case "fleet":
-		tenants := fs.Int("tenants", 0, "tenant count (0 = default)")
-		mode := fs.String("mode", "", "safety mode (empty = fleet default)")
-		class := fs.String("class", "", "GPU class (empty = fleet default)")
-		workload := fs.String("workload", "", "workload name (empty = pathfinder)")
-		churn := fs.Int64("churn-ps", 0, "downgrade interval in simulated ps (-1 = off)")
-		spread := fs.Int64("spread-ps", 0, "launch spread in simulated ps (-1 = off)")
-		lookahead := fs.Int64("lookahead-ps", 0, "conservative lookahead in simulated ps")
-		seed := fs.Int64("seed", 0, "fleet seed (0 = default)")
-		shards := fs.Int("shards", 0, "engine shards (0 = default)")
-		scale := fs.Int("scale", 0, "workload scale override")
-		if err := fs.Parse(args); err != nil {
-			return serve.Request{}, err
-		}
-		return serve.Request{Type: "fleet", Fleet: &serve.FleetSpec{
-			Tenants: *tenants, Mode: *mode, Class: *class, Workload: *workload,
-			ChurnPs: *churn, SpreadPs: *spread, LookaheadPs: *lookahead,
-			Seed: *seed, Shards: *shards, Scale: *scale,
-		}}, checkNoArgs(fs)
-	default:
-		return serve.Request{}, fmt.Errorf("submit: unknown job type %q (run, sweep, adversary, fleet)", typ)
+	spec, err := serve.Flags(typ, fs, nil)
+	if err != nil {
+		return serve.Request{}, err
 	}
-}
-
-func checkNoArgs(fs *flag.FlagSet) error {
+	if err := fs.Parse(args); err != nil {
+		return serve.Request{}, err
+	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
+		return serve.Request{}, fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
 	}
-	return nil
+	return spec()
 }

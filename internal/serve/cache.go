@@ -8,14 +8,17 @@ import (
 	"io"
 	"runtime/debug"
 	"sync"
+
+	"bordercontrol/internal/tracerec"
 )
 
 // cacheKey derives the artifact identity of a request: a domain prefix,
 // the code version (simulations are deterministic, so the same code + the
 // same request + the same traces can only produce the same artifact), the
 // canonical JSON of the request with execution-only knobs stripped, and
-// the content hash of every input trace in name order.
-func cacheKey(version string, req Request, traceHashes []string) (string, error) {
+// the content hash of every input trace in name order. Only the daemon
+// hashes traces: the key is all they are hashed for.
+func cacheKey(version string, req Request, inputs []*tracerec.Trace) (string, error) {
 	blob, err := json.Marshal(normalizeForCache(req))
 	if err != nil {
 		return "", fmt.Errorf("serve: hashing request: %w", err)
@@ -25,9 +28,12 @@ func cacheKey(version string, req Request, traceHashes []string) (string, error)
 	io.WriteString(h, version)
 	io.WriteString(h, "\n")
 	h.Write(blob)
-	for _, th := range traceHashes {
-		io.WriteString(h, "\n")
-		io.WriteString(h, th)
+	for _, tr := range inputs {
+		sum, err := tr.Hash()
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(h, "\n%x", sum)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

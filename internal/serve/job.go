@@ -1,24 +1,37 @@
 package serve
 
 import (
+	"cmp"
 	"context"
+	"errors"
+	"flag"
 	"fmt"
+	"strings"
+	"time"
 
 	"bordercontrol/internal/adversary"
 	"bordercontrol/internal/core"
+	"bordercontrol/internal/exp"
 	"bordercontrol/internal/harness"
 	"bordercontrol/internal/sim"
 	"bordercontrol/internal/stats"
+	"bordercontrol/internal/trace"
 	"bordercontrol/internal/tracerec"
 	"bordercontrol/internal/traffic"
 	"bordercontrol/internal/workload"
 )
 
-// Request is one job submission: a type tag plus exactly the matching
-// spec. Everything in a Request is part of the artifact's identity except
-// the execution-only knobs (SweepSpec.Workers), which the cache key
-// strips — the whole point of the determinism guarantees is that
-// execution shape never changes output.
+// Request is one job: a type tag plus exactly the matching spec. Each job
+// kind is declared once, in this file: its command-line flags (Flags), its
+// admission checks (Validate) and its plan and run, which both front ends
+// execute — `bctool X` in-process through Run, and `bctool submit X`
+// through the daemon's executor. A zero spec field, in Go or in JSON,
+// selects the default.
+//
+// Everything in a Request is part of the artifact's identity except the
+// execution-only knobs (SweepSpec.Workers), which the cache key strips —
+// the whole point of the determinism guarantees is that execution shape
+// never changes output.
 type Request struct {
 	// Type is "run", "sweep", "adversary" or "fleet".
 	Type      string         `json:"type"`
@@ -28,44 +41,117 @@ type Request struct {
 	Fleet     *FleetSpec     `json:"fleet,omitempty"`
 }
 
-// jobEnv is the execution context the server hands a spec: host
-// parallelism, the default sweep fan-out and the daemon's worker pool, and
-// a progress sink.
-type jobEnv struct {
-	jobs     int
-	workers  int
-	pool     *workerPool
-	progress func(msg string)
+// Env is what a job runs with besides its spec: host parallelism and a
+// progress sink, which never change the artifact, and what only the local
+// command line adds.
+type Env struct {
+	// Jobs bounds host parallelism (0 = GOMAXPROCS).
+	Jobs int
+	// Progress, when non-nil, receives the job's progress notes.
+	Progress func(msg string)
+
+	// The daemon leaves the rest zero.
+
+	// Timeout bounds each simulation (0 = none).
+	Timeout time.Duration
+	// Shards runs the adversary's campaign systems on the sharded engine
+	// (0 = direct engine); the other kinds carry shards in their spec.
+	Shards int
+	// Tracer, when non-nil, records a run's Chrome trace.
+	Tracer *trace.Tracer
+	// Traces are recordings the local command line read from files (the
+	// daemon reads no client files): a run replays its one recording
+	// instead of building the workload (`bctool replay`), and a sweep adds
+	// each to its grid under its workload name (`bctool sweep -traces`).
+	Traces []*tracerec.Trace
+
+	// noTraffic leaves a sweep's synthetic traces out (`bctool sweep
+	// -traffic ''`), so it sweeps Traces alone.
+	noTraffic bool
+	// workers is the daemon's default sweep fan-out, and pool its warm
+	// worker processes.
+	workers int
+	pool    *workerPool
 }
 
-func (e jobEnv) note(format string, args ...any) {
-	if e.progress != nil {
-		e.progress(fmt.Sprintf(format, args...))
+func (e Env) note(format string, args ...any) {
+	if e.Progress != nil {
+		e.Progress(fmt.Sprintf(format, args...))
 	}
 }
 
-// spec is what every job type implements: validation at submission
-// time, which generates nothing, and a plan at execution, which does the
-// job's up-front work once. The plan returns the content hash of every
-// input trace, which joins the artifact's cache key, and the job's run:
-// the artifact plus a metrics snapshot (merged daemon-wide, re-exported on
-// /v1/metrics) that the artifact never depends on.
-type spec interface {
-	validate() error
-	plan() (traceHashes []string, run runFunc, err error)
+// bound applies Timeout to a job that is one simulation.
+func (e Env) bound(ctx context.Context) (context.Context, context.CancelFunc) {
+	if e.Timeout > 0 {
+		return context.WithTimeout(ctx, e.Timeout)
+	}
+	return ctx, func() {}
 }
 
-type runFunc func(ctx context.Context, env jobEnv) (artifact string, snap stats.Snapshot, err error)
+// spec is what every job kind implements. flags declares the kind's
+// command-line flags and returns the check that finishes the spec once
+// they are parsed. validate is the daemon's admission check, which holds
+// its caps and generates nothing. plan does the job's up-front work once,
+// in either front end: it returns the job's input traces, which the
+// daemon's cache key hashes, and its run, which yields the artifact plus
+// a metrics snapshot the artifact never depends on.
+type spec interface {
+	flags(fs *flag.FlagSet, env *Env) func() error
+	validate() error
+	plan(env Env) (inputs []*tracerec.Trace, run runFunc, err error)
+}
 
-// Runs, adversary campaigns and fleets read no input traces, so their
-// plan is their run.
-func (s *RunSpec) plan() ([]string, runFunc, error)       { return nil, s.run, nil }
-func (s *AdversarySpec) plan() ([]string, runFunc, error) { return nil, s.run, nil }
-func (s *FleetSpec) plan() ([]string, runFunc, error)     { return nil, s.run, nil }
+type runFunc func(ctx context.Context) (artifact string, snap stats.Snapshot, err error)
+
+// Flags declares job kind typ's flags on fs — names, defaults and help,
+// one declaration for `bctool typ` and `bctool submit typ` — and returns
+// the function that, after fs.Parse, yields the Request they spell. A value
+// the spec cannot carry, because its zero there selects the default, is
+// refused with an error naming the flag. env is the local command's
+// environment, nil for a submission; the two differ only in that a
+// submitted sweep also takes -workers, and a local one may sweep its
+// recorded traces alone.
+func Flags(typ string, fs *flag.FlagSet, env *Env) (func() (Request, error), error) {
+	req := Request{Type: typ}
+	switch typ {
+	case "run":
+		req.Run = &RunSpec{}
+	case "sweep":
+		req.Sweep = &SweepSpec{}
+	case "adversary":
+		req.Adversary = &AdversarySpec{}
+	case "fleet":
+		req.Fleet = &FleetSpec{}
+	}
+	sp, err := req.spec()
+	if err != nil {
+		return nil, err
+	}
+	finish := sp.flags(fs, env)
+	return func() (Request, error) { return req, finish() }, nil
+}
+
+// Run executes req in this process: its plan, then its run, with env's
+// host parallelism and progress sink. It starts no worker process, and the
+// daemon's admission caps do not apply. It is `bctool X`; the daemon's
+// executor calls the same plan and run around its cache and worker pool,
+// so `bctool submit X` serves the same bytes.
+func Run(ctx context.Context, req Request, env Env) (artifact string, snap stats.Snapshot, err error) {
+	sp, err := req.spec()
+	if err != nil {
+		return "", stats.Snapshot{}, err
+	}
+	_, run, err := sp.plan(env)
+	if err != nil {
+		return "", stats.Snapshot{}, err
+	}
+	return run(ctx)
+}
 
 // Validate checks the request is well-formed: a known type with exactly
-// its spec present and valid. It is called at submission (HTTP 400), so
-// a malformed request never occupies a queue slot.
+// its spec present and valid, and inside the daemon's caps. It is called
+// at submission (HTTP 400), so a malformed request never occupies a queue
+// slot.
 func (r Request) Validate() error {
 	s, err := r.spec()
 	if err != nil {
@@ -110,7 +196,47 @@ func (r Request) spec() (spec, error) {
 	}
 }
 
-// RunSpec executes one workload — the daemon's `bctool run`.
+// atLeastOne refuses a flag value below 1, which no spec can carry: a
+// spec reads 0 as its default.
+func atLeastOne(name string, v int64) error {
+	if v < 1 {
+		return fmt.Errorf("-%s %d: want at least 1", name, v)
+	}
+	return nil
+}
+
+// nonzeroSeed refuses -seed 0, which a spec reads as the default seed 1.
+func nonzeroSeed(seed int64) error {
+	if seed == 0 {
+		return errors.New("-seed 0: want a nonzero seed (a spec reads 0 as the default, 1)")
+	}
+	return nil
+}
+
+// params is DefaultParams with a spec's border and scale; zero keeps the
+// default of either.
+func params(border string, scale int) (harness.Params, error) {
+	p := harness.DefaultParams()
+	if border != "" {
+		if !core.KnownDesign(border) {
+			return p, fmt.Errorf("serve: unknown border design %q (have %v)", border, core.Designs())
+		}
+		p.Border = border
+	}
+	if scale > 0 {
+		p.Scale = scale
+	}
+	return p, nil
+}
+
+// hostNote is the host-side self-measurement of a job that is one
+// simulation.
+func hostNote(h harness.HostStats) string {
+	return fmt.Sprintf("host: %s wall, %d events, %.0f events/sec",
+		h.Wall.Round(time.Millisecond), h.Events, h.EventsPerSec)
+}
+
+// RunSpec executes one workload — `bctool run`.
 type RunSpec struct {
 	Workload string `json:"workload"`
 	// Mode is a mode slug (ats-only, full-iommu, capi-like, bc-nobcc,
@@ -124,14 +250,19 @@ type RunSpec struct {
 	DowngradesPerSec float64 `json:"downgrades_per_sec,omitempty"`
 }
 
+func (s *RunSpec) flags(fs *flag.FlagSet, _ *Env) func() error {
+	fs.StringVar(&s.Workload, "workload", "bfs", "workload name (see bctool list)")
+	fs.StringVar(&s.Mode, "mode", "bc-bcc", "safety configuration (see bctool list)")
+	fs.StringVar(&s.Class, "class", "high", "GPU class: high or moderate")
+	fs.StringVar(&s.Border, "border", "", "border design for the BC modes (see bctool list; default "+core.DefaultDesign+")")
+	fs.Float64Var(&s.DowngradesPerSec, "downgrades", 0, "permission downgrades per second to inject")
+	fs.IntVar(&s.Scale, "scale", 1, "workload problem-size multiplier")
+	fs.IntVar(&s.Shards, "shards", 0, "run on the sharded engine with this many workers (0 = direct engine); results are bit-identical either way")
+	return func() error { return atLeastOne("scale", int64(s.Scale)) }
+}
+
 func (s *RunSpec) validate() error {
-	if _, ok := workload.ByName(s.Workload); !ok {
-		return fmt.Errorf("serve: unknown workload %q (have %v)", s.Workload, workload.Names())
-	}
-	if _, err := harness.ParseModeSlug(s.Mode); err != nil {
-		return err
-	}
-	if _, err := harness.ParseClassSlug(s.Class); err != nil {
+	if _, _, err := s.plan(Env{}); err != nil {
 		return err
 	}
 	if s.Scale < 0 || s.Shards < 0 || s.DowngradesPerSec < 0 {
@@ -140,45 +271,120 @@ func (s *RunSpec) validate() error {
 	return nil
 }
 
-func (s *RunSpec) run(ctx context.Context, env jobEnv) (string, stats.Snapshot, error) {
+// plan resolves the run: the spec's workload, or the local command line's
+// one recording. A single benign segment of a known workload replays
+// through the live run's path and report, byte for byte; any other
+// recording (multi-tenant churn, probed mixes) goes through the trace
+// runner.
+func (s *RunSpec) plan(env Env) ([]*tracerec.Trace, runFunc, error) {
 	mode, err := harness.ParseModeSlug(s.Mode)
 	if err != nil {
-		return "", stats.Snapshot{}, err
+		return nil, nil, err
 	}
 	class, err := harness.ParseClassSlug(s.Class)
 	if err != nil {
-		return "", stats.Snapshot{}, err
+		return nil, nil, err
 	}
-	sw, _ := workload.ByName(s.Workload)
-	p := harness.DefaultParams()
-	if s.Scale > 0 {
-		p.Scale = s.Scale
-	}
-	if s.Border != "" {
-		p.Border = s.Border
-	}
-	env.note("run %s/%s/%s", s.Workload, s.Mode, s.Class)
-	res, err := harness.RunCtx(ctx, mode, class, sw, p, harness.RunOptions{
-		DowngradesPerSec: s.DowngradesPerSec, Shards: s.Shards,
-	})
+	p, err := params(s.Border, s.Scale)
 	if err != nil {
-		return "", stats.Snapshot{}, err
+		return nil, nil, err
 	}
-	art := res.Render()
+	var sw workload.Spec
+	var traceRun *tracerec.Trace
+	switch len(env.Traces) {
+	case 0:
+		var ok bool
+		if sw, ok = workload.ByName(s.Workload); !ok {
+			return nil, nil, fmt.Errorf("serve: unknown workload %q (have %v)", s.Workload, workload.Names())
+		}
+	case 1:
+		rec := env.Traces[0]
+		if _, known := workload.ByName(rec.Workload); !known || len(rec.Segments) != 1 || len(rec.Segments[0].Probes) != 0 {
+			traceRun = rec
+		} else if sw, err = tracerec.ReplaySpec(rec); err != nil {
+			return nil, nil, err
+		}
+	default:
+		return nil, nil, fmt.Errorf("serve: a run replays one recording, not %d", len(env.Traces))
+	}
+	opts := harness.RunOptions{DowngradesPerSec: s.DowngradesPerSec, Shards: s.Shards, Tracer: env.Tracer}
+	return nil, func(ctx context.Context) (string, stats.Snapshot, error) {
+		ctx, cancel := env.bound(ctx)
+		defer cancel()
+		if traceRun != nil {
+			res, err := harness.RunTraceCtx(ctx, mode, class, traceRun, p, opts)
+			if err != nil {
+				return "", stats.Snapshot{}, err
+			}
+			env.note("%s", hostNote(res.Host))
+			art, err := traceReport(res)
+			return art, res.Stats, err
+		}
+		res, err := harness.RunCtx(ctx, mode, class, sw, p, opts)
+		if err != nil {
+			return "", stats.Snapshot{}, err
+		}
+		env.note("%s", hostNote(res.Host))
+		art, err := runReport(res)
+		return art, res.Stats, err
+	}, nil
+}
+
+// runReport is a run's artifact, the `bctool run` report and its results
+// line, and its verdict: wrong results fail the job and keep the report.
+func runReport(res harness.RunResult) (string, error) {
 	if res.VerifyErr != nil {
-		art += fmt.Sprintf("results       INCORRECT: %v\n", res.VerifyErr)
-	} else {
-		art += "results       verified correct\n"
+		return res.Render() + fmt.Sprintf("results       INCORRECT: %v\n", res.VerifyErr),
+			fmt.Errorf("results INCORRECT: %w", res.VerifyErr)
 	}
-	return art, res.Stats, nil
+	return res.Render() + "results       verified correct\n", nil
+}
+
+// traceReport is the report of a replayed multi-segment or probed
+// recording. A segment image mismatch fails it, as does a safe mode
+// granting any adversarial probe: a sandbox breach.
+func traceReport(res harness.TraceRunResult) (string, error) {
+	var granted, denied uint64
+	var verifyErr error
+	for _, s := range res.Segments {
+		granted += s.ProbesGranted
+		denied += s.ProbesDenied
+		if s.VerifyErr != nil && verifyErr == nil {
+			verifyErr = fmt.Errorf("segment %s: %w", s.Name, s.VerifyErr)
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "trace         %s (%d segments)\n", res.Workload, len(res.Segments))
+	fmt.Fprintf(&b, "mode          %v\n", res.Mode)
+	fmt.Fprintf(&b, "class         %v\n", res.Class)
+	fmt.Fprintf(&b, "sim time      %.3f ms\n", float64(res.SimTime)/1e9)
+	fmt.Fprintf(&b, "memory ops    %d\n", res.Ops)
+	if res.Mode == harness.BCNoBCC || res.Mode == harness.BCBCC {
+		fmt.Fprintf(&b, "BC checks     %d\n", res.BCChecks)
+		fmt.Fprintf(&b, "BCC miss      %.4f\n", res.BCCMissRatio)
+	}
+	if granted+denied > 0 {
+		fmt.Fprintf(&b, "probes        %d granted, %d denied\n", granted, denied)
+	}
+	if verifyErr != nil {
+		fmt.Fprintf(&b, "results       INCORRECT: %v\n", verifyErr)
+		return b.String(), fmt.Errorf("results INCORRECT: %w", verifyErr)
+	}
+	if res.Mode.Safe() && granted > 0 {
+		err := fmt.Errorf("sandbox BREACHED: %d adversarial probe(s) granted under %v", granted, res.Mode)
+		fmt.Fprintf(&b, "results       %v\n", err)
+		return b.String(), err
+	}
+	b.WriteString("results       verified correct\n")
+	return b.String(), nil
 }
 
 // Sweep-spec caps. Validate refuses a spec past any cap at submission,
-// with nothing generated; the executor then generates and hashes a
-// sweep's traces once, in its plan. One of the costliest specs inside the
-// caps (all four shapes, 256 seeds, 64 segments, wavefronts of 7 ops)
-// plans in about 0.14 s and allocates about 79 MB on a 2-CPU Xeon
-// @ 2.10 GHz.
+// with nothing generated; the executor then generates a sweep's traces
+// once, in its plan. One of the costliest specs inside the caps (all four
+// shapes, 256 seeds, 64 segments, wavefronts of 7 ops) plans in about
+// 0.14 s and allocates about 79 MB on a 2-CPU Xeon @ 2.10 GHz. The caps
+// bind submissions only: `bctool sweep` runs any grid its host can.
 const (
 	// MaxSweepSeeds bounds SweepSpec.Seeds.
 	MaxSweepSeeds = 256
@@ -192,10 +398,7 @@ const (
 	MaxSweepWorkers = 64
 )
 
-// SweepSpec executes a synthetic-traffic replay grid — the daemon's
-// `bctool sweep`. The plan (traces, names, cells) is built exactly as the
-// CLI builds it, so a served sweep's artifact is byte-identical to the
-// in-process `bctool sweep` with the same axes.
+// SweepSpec executes a synthetic-traffic replay grid — `bctool sweep`.
 type SweepSpec struct {
 	// Traffic lists generator shapes (empty = all); Seeds traces per shape
 	// (default 1), named "<shape>-s<seed>".
@@ -223,94 +426,71 @@ type SweepSpec struct {
 	GenOps        int `json:"gen_ops,omitempty"`
 }
 
-func (s *SweepSpec) validate() error {
-	_, _, err := s.cells(false)
-	return err
+func (s *SweepSpec) flags(fs *flag.FlagSet, env *Env) func() error {
+	traffic := fs.String("traffic", "all", "comma-separated synthetic shapes (see bctool list), or 'all'")
+	fs.IntVar(&s.Seeds, "seeds", 1, "seeds per shape (1..N, one trace each)")
+	modes := fs.String("modes", "all", "comma-separated modes (see bctool list), or 'all'")
+	borders := fs.String("borders", "all", "comma-separated border designs for the BC modes, or 'all'")
+	fs.StringVar(&s.Classes, "classes", "both", "GPU classes: high, moderate, or both")
+	fs.IntVar(&s.Shards, "shards", 0, "run each cell on the sharded engine with this many workers (0 = direct engine); output is byte-identical at any setting")
+	fs.BoolVar(&s.CSV, "csv", false, "emit CSV instead of a text table")
+	if env == nil {
+		fs.IntVar(&s.Workers, "workers", 0, fmt.Sprintf("worker processes (0 = daemon default, negative = in-process, at most %d)", MaxSweepWorkers))
+	}
+	return func() error {
+		var err error
+		if env != nil && len(splitList(*traffic)) == 0 {
+			env.noTraffic = true // the local command line sweeps its recordings alone
+		} else if s.Traffic, err = axis("traffic", *traffic); err != nil {
+			return err
+		}
+		if s.Modes, err = axis("modes", *modes); err != nil {
+			return err
+		}
+		if s.Borders, err = axis("borders", *borders); err != nil {
+			return err
+		}
+		return atLeastOne("seeds", int64(s.Seeds))
+	}
 }
 
-// cells expands the spec into the labelled cell grid plus the
-// content-hash of every trace in name order (the cache key's trace
-// component). It mirrors `bctool sweep`: shapes x seeds generate traces
-// named "<shape>-s<seed>", then RecordedCells crosses them with the
-// mode/border/class axes over DefaultParams. It first checks everything
-// that needs no trace — the caps, the mode slugs, the border names, the
-// class list and the shards — and without generate it stops there.
-func (s *SweepSpec) cells(generate bool) ([]harness.SweepCell, []string, error) {
-	shapes := traffic.Shapes()
-	if len(s.Traffic) > 0 {
-		shapes = s.Traffic
+// axis turns a list flag into a sweep axis. 'all' is the spec's empty
+// list; an empty flag value is refused, since the spec cannot carry it.
+func axis(name, v string) ([]string, error) {
+	if v == "all" {
+		return nil, nil
 	}
-	seeds := max(s.Seeds, 1)
-	if err := s.bound(shapes, seeds); err != nil {
-		return nil, nil, err
+	list := splitList(v)
+	if len(list) == 0 {
+		return nil, fmt.Errorf("-%s %q: want a comma-separated list, or 'all'", name, v)
 	}
-	modes := []harness.Mode{harness.ATSOnly, harness.FullIOMMU, harness.CAPILike, harness.BCNoBCC, harness.BCBCC}
-	if len(s.Modes) > 0 {
-		modes = modes[:0]
-		for _, ms := range s.Modes {
-			m, err := harness.ParseModeSlug(ms)
-			if err != nil {
-				return nil, nil, err
-			}
-			modes = append(modes, m)
-		}
-	}
-	borders := core.Designs()
-	if len(s.Borders) > 0 {
-		borders = s.Borders
-		for _, b := range borders {
-			if !designKnown(b) {
-				return nil, nil, fmt.Errorf("serve: unknown border design %q (have %v)", b, core.Designs())
-			}
-		}
-	}
-	classes, err := harness.ParseClassList(s.Classes)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.Shards < 0 {
-		return nil, nil, fmt.Errorf("serve: negative shards")
-	}
-	if !generate {
-		return nil, nil, nil
-	}
-
-	traces := map[string]*tracerec.Trace{}
-	var names, hashes []string
-	for _, shape := range shapes {
-		for seed := 1; seed <= seeds; seed++ {
-			tr, err := traffic.Generate(traffic.Config{
-				Shape: shape, Seed: uint64(seed),
-				Segments: s.GenSegments, Wavefronts: s.GenWavefronts, Ops: s.GenOps,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			h, err := tr.Hash()
-			if err != nil {
-				return nil, nil, err
-			}
-			name := fmt.Sprintf("%s-s%d", shape, seed)
-			traces[name] = tr
-			names = append(names, name)
-			hashes = append(hashes, fmt.Sprintf("%x", h))
-		}
-	}
-	cells := harness.RecordedCells(traces, names, modes, borders, classes, harness.DefaultParams(), s.Shards)
-	if err := harness.ValidateCells(cells); err != nil {
-		return nil, nil, err
-	}
-	return cells, hashes, nil
+	return list, nil
 }
 
-// bound refuses a spec past the sweep caps before any of its traces is
-// generated: the op total is summed from the generator sizes alone. An
-// axis naming a value twice is refused too — it could only yield
-// duplicate trace names or cell labels, after expanding the whole grid.
-func (s *SweepSpec) bound(shapes []string, seeds int) error {
-	if seeds > MaxSweepSeeds {
-		return fmt.Errorf("serve: sweep seeds %d over the limit of %d", seeds, MaxSweepSeeds)
+func splitList(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
 	}
+	return out
+}
+
+// sweepAxes is a sweep spec resolved as far as it goes without a trace.
+type sweepAxes struct {
+	shapes  []string
+	seeds   int
+	modes   []harness.Mode
+	borders []string
+	classes []harness.GPUClass
+}
+
+// axes resolves the shapes and seeds, the mode slugs, the border names
+// and the class list. An axis naming a value twice is refused first: it
+// could only yield duplicate trace names or cell labels, after expanding
+// the whole grid.
+func (s *SweepSpec) axes() (sweepAxes, error) {
 	for _, axis := range []struct {
 		name string
 		vals []string
@@ -318,10 +498,54 @@ func (s *SweepSpec) bound(shapes []string, seeds int) error {
 		seen := map[string]bool{}
 		for _, v := range axis.vals {
 			if seen[v] {
-				return fmt.Errorf("serve: sweep %s lists %q twice", axis.name, v)
+				return sweepAxes{}, fmt.Errorf("serve: sweep %s lists %q twice", axis.name, v)
 			}
 			seen[v] = true
 		}
+	}
+	a := sweepAxes{shapes: traffic.Shapes(), seeds: max(s.Seeds, 1), modes: harness.Modes(), borders: core.Designs()}
+	if len(s.Traffic) > 0 {
+		a.shapes = s.Traffic
+	}
+	if len(s.Modes) > 0 {
+		a.modes = a.modes[:0]
+		for _, ms := range s.Modes {
+			m, err := harness.ParseModeSlug(ms)
+			if err != nil {
+				return sweepAxes{}, err
+			}
+			a.modes = append(a.modes, m)
+		}
+	}
+	if len(s.Borders) > 0 {
+		a.borders = s.Borders
+		for _, b := range a.borders {
+			if !core.KnownDesign(b) {
+				return sweepAxes{}, fmt.Errorf("serve: unknown border design %q (have %v)", b, core.Designs())
+			}
+		}
+	}
+	var err error
+	a.classes, err = harness.ParseClassList(s.Classes)
+	return a, err
+}
+
+func (s *SweepSpec) validate() error {
+	a, err := s.axes()
+	if err != nil {
+		return err
+	}
+	if s.Shards < 0 {
+		return fmt.Errorf("serve: negative shards")
+	}
+	return s.bound(a.shapes, a.seeds)
+}
+
+// bound refuses a spec past the sweep caps before any of its traces is
+// generated: the op total is summed from the generator sizes alone.
+func (s *SweepSpec) bound(shapes []string, seeds int) error {
+	if seeds > MaxSweepSeeds {
+		return fmt.Errorf("serve: sweep seeds %d over the limit of %d", seeds, MaxSweepSeeds)
 	}
 	for _, knob := range []struct {
 		name   string
@@ -349,33 +573,76 @@ func (s *SweepSpec) bound(shapes []string, seeds int) error {
 	return nil
 }
 
-func designKnown(name string) bool {
-	for _, d := range core.Designs() {
-		if d == name {
-			return true
-		}
-	}
-	return false
-}
-
-// plan generates and hashes the sweep's traces, once per job; the run
-// executes the planned cells.
-func (s *SweepSpec) plan() ([]string, runFunc, error) {
-	cells, hashes, err := s.cells(true)
+// cells expands the spec into its grid and returns it with its input
+// traces in name order: shapes x seeds generate traces named
+// "<shape>-s<seed>", env's recordings join them under their workload
+// names, and RecordedCells crosses them with the mode/border/class axes
+// over DefaultParams.
+func (s *SweepSpec) cells(env Env) ([]harness.SweepCell, []*tracerec.Trace, error) {
+	a, err := s.axes()
 	if err != nil {
 		return nil, nil, err
 	}
-	return hashes, func(ctx context.Context, env jobEnv) (string, stats.Snapshot, error) {
-		workers := s.Workers
-		if workers == 0 {
-			workers = env.workers
+	traces := map[string]*tracerec.Trace{}
+	var names []string
+	var inputs []*tracerec.Trace
+	add := func(name string, tr *tracerec.Trace) error {
+		if _, dup := traces[name]; dup {
+			return fmt.Errorf("sweep: duplicate trace name %q", name)
 		}
-		if workers < 0 {
-			workers = 0
+		traces[name] = tr
+		names = append(names, name)
+		inputs = append(inputs, tr)
+		return nil
+	}
+	if env.noTraffic {
+		a.shapes = nil
+	}
+	for _, shape := range a.shapes {
+		for seed := 1; seed <= a.seeds; seed++ {
+			tr, err := traffic.Generate(traffic.Config{
+				Shape: shape, Seed: uint64(seed),
+				Segments: s.GenSegments, Wavefronts: s.GenWavefronts, Ops: s.GenOps,
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := add(fmt.Sprintf("%s-s%d", shape, seed), tr); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	for _, tr := range env.Traces {
+		if err := add(tr.Workload, tr); err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(names) == 0 {
+		return nil, nil, errors.New("sweep: no traces (-traffic '' and no -traces)")
+	}
+	return harness.RecordedCells(traces, names, a.modes, a.borders, a.classes, harness.DefaultParams(), s.Shards), inputs, nil
+}
+
+// plan generates the sweep's traces, once per job; the run executes the
+// planned cells, fanned out over the daemon's warm workers or in this
+// process.
+func (s *SweepSpec) plan(env Env) ([]*tracerec.Trace, runFunc, error) {
+	cells, inputs, err := s.cells(env)
+	if err != nil {
+		return nil, nil, err
+	}
+	return inputs, func(ctx context.Context) (string, stats.Snapshot, error) {
+		// Only the daemon fans out: the worker processes are its pool's.
+		workers := 0
+		if env.pool != nil {
+			if workers = s.Workers; workers == 0 {
+				workers = env.workers
+			}
+			workers = max(workers, 0)
 		}
 		env.note("sweep: %d cells, workers=%d", len(cells), workers)
 		rows, err := SweepFanout(ctx, cells, FanoutConfig{
-			Workers: workers, Jobs: env.jobs, Progress: env.progress, pool: env.pool,
+			Workers: workers, Jobs: env.Jobs, Progress: env.Progress, pool: env.pool,
 		})
 		if err != nil {
 			return "", stats.Snapshot{}, err
@@ -412,8 +679,8 @@ func sweepRowStats(rows []harness.SweepRow) stats.Snapshot {
 	return reg.Snapshot()
 }
 
-// AdversarySpec runs seeded sandbox-escape campaigns — the daemon's
-// `bctool adversary`. A breached sandbox fails the job; the report is the
+// AdversarySpec runs seeded sandbox-escape campaigns — `bctool
+// adversary`. A breached sandbox fails the job; the report is the
 // artifact either way.
 type AdversarySpec struct {
 	Seed      int64    `json:"seed,omitempty"`
@@ -422,52 +689,61 @@ type AdversarySpec struct {
 	Border    string   `json:"border,omitempty"`
 }
 
+// An adversary spec's zero Seed and Campaigns select these.
+const (
+	defaultAdversarySeed = 1
+	defaultCampaigns     = 4
+)
+
+func (s *AdversarySpec) flags(fs *flag.FlagSet, _ *Env) func() error {
+	fs.Int64Var(&s.Seed, "seed", defaultAdversarySeed, "base campaign seed (campaign i uses seed+i)")
+	fs.IntVar(&s.Campaigns, "campaigns", defaultCampaigns, "number of campaigns (each rotates the protocol variant)")
+	attacks := fs.String("attacks", "", "comma-separated attack names (empty = all: "+strings.Join(adversary.AttackNames(), ",")+")")
+	fs.StringVar(&s.Border, "border", "", "border design under attack (see bctool list; default "+core.DefaultDesign+")")
+	return func() error {
+		s.Attacks = splitList(*attacks)
+		return errors.Join(nonzeroSeed(s.Seed), atLeastOne("campaigns", int64(s.Campaigns)))
+	}
+}
+
 func (s *AdversarySpec) validate() error {
 	if s.Campaigns < 0 {
 		return fmt.Errorf("serve: negative campaigns")
 	}
-	if s.Border != "" && !designKnown(s.Border) {
-		return fmt.Errorf("serve: unknown border design %q (have %v)", s.Border, core.Designs())
-	}
-	known := map[string]bool{}
-	for _, a := range adversary.AttackNames() {
-		known[a] = true
+	_, _, err := s.plan(Env{})
+	return err
+}
+
+func (s *AdversarySpec) plan(env Env) ([]*tracerec.Trace, runFunc, error) {
+	seed, campaigns := cmp.Or(s.Seed, defaultAdversarySeed), cmp.Or(s.Campaigns, defaultCampaigns)
+	p, err := params(s.Border, 0)
+	if err != nil {
+		return nil, nil, err
 	}
 	for _, a := range s.Attacks {
-		if !known[a] {
-			return fmt.Errorf("serve: unknown attack %q (have %v)", a, adversary.AttackNames())
+		if _, ok := adversary.Lookup(a); !ok {
+			return nil, nil, fmt.Errorf("serve: unknown attack %q (have %v)", a, adversary.AttackNames())
 		}
 	}
-	return nil
+	ex := harness.Exec{Jobs: env.Jobs, Timeout: env.Timeout, Shards: env.Shards}
+	if env.Progress != nil {
+		ex.Progress = func(r exp.Result) { env.Progress(cellNote(r.Name, r.Err)) }
+	}
+	return nil, func(ctx context.Context) (string, stats.Snapshot, error) {
+		rep, err := harness.AdversaryReport(ctx, ex, p, seed, campaigns, s.Attacks)
+		if err != nil {
+			return "", stats.Snapshot{}, err
+		}
+		art := adversary.Render(rep)
+		if rep.Failed() {
+			return art, rep.Stats(), fmt.Errorf("sandbox breached — see the reproducing seeds in the report")
+		}
+		return art, rep.Stats(), nil
+	}, nil
 }
 
-func (s *AdversarySpec) run(ctx context.Context, env jobEnv) (string, stats.Snapshot, error) {
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	campaigns := s.Campaigns
-	if campaigns == 0 {
-		campaigns = 4
-	}
-	p := harness.DefaultParams()
-	if s.Border != "" {
-		p.Border = s.Border
-	}
-	env.note("adversary: seed=%d campaigns=%d", seed, campaigns)
-	rep, err := harness.AdversaryReport(ctx, harness.Exec{Jobs: env.jobs}, p, seed, campaigns, s.Attacks)
-	if err != nil {
-		return "", stats.Snapshot{}, err
-	}
-	art := adversary.Render(rep)
-	if rep.Failed() {
-		return art, rep.Stats(), fmt.Errorf("serve: sandbox breached — see the reproducing seeds in the artifact")
-	}
-	return art, rep.Stats(), nil
-}
-
-// FleetSpec runs a multi-tenant fleet on the sharded engine — the
-// daemon's `bctool fleet`.
+// FleetSpec runs a multi-tenant fleet on the sharded engine — `bctool
+// fleet`.
 type FleetSpec struct {
 	Tenants  int    `json:"tenants,omitempty"`
 	Mode     string `json:"mode,omitempty"`
@@ -484,21 +760,36 @@ type FleetSpec struct {
 	Scale       int   `json:"scale,omitempty"`
 }
 
+// defaultFleetWorkload is the workload of a fleet spec's zero Workload.
+const defaultFleetWorkload = "pathfinder"
+
+func (s *FleetSpec) flags(fs *flag.FlagSet, _ *Env) func() error {
+	def := harness.DefaultFleetParams()
+	fs.IntVar(&s.Tenants, "tenants", def.Tenants, "tenant accelerator sandboxes (one shard each, plus the host shard)")
+	fs.StringVar(&s.Mode, "mode", "bc-bcc", "safety configuration every tenant runs under (see bctool list)")
+	fs.StringVar(&s.Class, "class", "moderate", "GPU class: high or moderate")
+	fs.StringVar(&s.Workload, "workload", defaultFleetWorkload, "workload every tenant runs")
+	fs.IntVar(&s.Shards, "shards", 0, "worker goroutines executing shards (0 = all cores, 1 = serial); the report is byte-identical at any setting")
+	fs.Int64Var(&s.LookaheadPs, "lookahead-ps", int64(def.Lookahead), "host<->accelerator crossing latency in simulated ps (the conservative window)")
+	fs.Int64Var(&s.SpreadPs, "spread-ps", int64(def.LaunchSpread), "stagger tenant launches over this much simulated ps (seeded; 0 = launch together)")
+	fs.Int64Var(&s.ChurnPs, "churn-ps", int64(def.DowngradeEvery), "host downgrade-command cadence in simulated ps (0 = no churn)")
+	fs.Int64Var(&s.Seed, "seed", def.Seed, "seed for launch jitter and churn targeting")
+	fs.IntVar(&s.Scale, "scale", 1, "workload problem-size multiplier")
+	return func() error {
+		// The spec spells "off" -1, for its 0 selects the default.
+		for _, ps := range []*int64{&s.ChurnPs, &s.SpreadPs} {
+			if *ps <= 0 {
+				*ps = -1
+			}
+		}
+		return errors.Join(atLeastOne("tenants", int64(s.Tenants)), atLeastOne("lookahead-ps", s.LookaheadPs),
+			atLeastOne("scale", int64(s.Scale)), nonzeroSeed(s.Seed))
+	}
+}
+
 func (s *FleetSpec) validate() error {
-	if s.Workload != "" {
-		if _, ok := workload.ByName(s.Workload); !ok {
-			return fmt.Errorf("serve: unknown workload %q (have %v)", s.Workload, workload.Names())
-		}
-	}
-	if s.Mode != "" {
-		if _, err := harness.ParseModeSlug(s.Mode); err != nil {
-			return err
-		}
-	}
-	if s.Class != "" {
-		if _, err := harness.ParseClassSlug(s.Class); err != nil {
-			return err
-		}
+	if _, _, err := s.plan(Env{}); err != nil {
+		return err
 	}
 	if s.Tenants < 0 || s.Shards < 0 || s.Scale < 0 {
 		return fmt.Errorf("serve: fleet spec has negative knobs")
@@ -506,7 +797,7 @@ func (s *FleetSpec) validate() error {
 	return nil
 }
 
-func (s *FleetSpec) run(ctx context.Context, env jobEnv) (string, stats.Snapshot, error) {
+func (s *FleetSpec) plan(env Env) ([]*tracerec.Trace, runFunc, error) {
 	fp := harness.DefaultFleetParams()
 	if s.Tenants > 0 {
 		fp.Tenants = s.Tenants
@@ -514,14 +805,14 @@ func (s *FleetSpec) run(ctx context.Context, env jobEnv) (string, stats.Snapshot
 	if s.Mode != "" {
 		m, err := harness.ParseModeSlug(s.Mode)
 		if err != nil {
-			return "", stats.Snapshot{}, err
+			return nil, nil, err
 		}
 		fp.Mode = m
 	}
 	if s.Class != "" {
 		c, err := harness.ParseClassSlug(s.Class)
 		if err != nil {
-			return "", stats.Snapshot{}, err
+			return nil, nil, err
 		}
 		fp.Class = c
 	}
@@ -542,23 +833,27 @@ func (s *FleetSpec) run(ctx context.Context, env jobEnv) (string, stats.Snapshot
 		fp.Seed = s.Seed
 	}
 	fp.Workers = s.Shards
-	name := s.Workload
-	if name == "" {
-		name = "pathfinder"
+	name := cmp.Or(s.Workload, defaultFleetWorkload)
+	sw, ok := workload.ByName(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("serve: unknown workload %q (have %v)", name, workload.Names())
 	}
-	sw, _ := workload.ByName(name)
-	p := harness.DefaultParams()
-	if s.Scale > 0 {
-		p.Scale = s.Scale
-	}
-	env.note("fleet: %d tenants x %s", fp.Tenants, name)
-	res, err := harness.RunFleetCtx(ctx, p, fp, sw)
+	p, err := params("", s.Scale)
 	if err != nil {
-		return "", stats.Snapshot{}, err
+		return nil, nil, err
 	}
-	art := res.Render()
-	if res.Verified != res.Tenants {
-		return art, res.Stats, fmt.Errorf("serve: %d of %d tenants produced INCORRECT results", res.Tenants-res.Verified, res.Tenants)
-	}
-	return art, res.Stats, nil
+	return nil, func(ctx context.Context) (string, stats.Snapshot, error) {
+		ctx, cancel := env.bound(ctx)
+		defer cancel()
+		res, err := harness.RunFleetCtx(ctx, p, fp, sw)
+		if err != nil {
+			return "", stats.Snapshot{}, err
+		}
+		env.note("%s", hostNote(res.Host))
+		art := res.Render()
+		if res.Verified != res.Tenants {
+			return art, res.Stats, fmt.Errorf("%d of %d tenants produced INCORRECT results", res.Tenants-res.Verified, res.Tenants)
+		}
+		return art, res.Stats, nil
+	}, nil
 }

@@ -127,7 +127,7 @@ func runJob(t *testing.T, c *Client, req Request) JobStatus {
 // inProcessCSV is the artifact of req's sweep run in-process.
 func inProcessCSV(t *testing.T, req Request) string {
 	t.Helper()
-	cells, _, err := req.Sweep.cells(true)
+	cells, _, err := req.Sweep.cells(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestServeWorkerKilledMidSweep(t *testing.T) {
 	if final.State != StateFailed {
 		t.Fatalf("job with a killed worker ended %s (%s), want failed", final.State, final.Error)
 	}
-	cells, _, err := req.Sweep.cells(true)
+	cells, _, err := req.Sweep.cells(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

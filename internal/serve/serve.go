@@ -364,14 +364,23 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 	}
 
 	// Artifact identity: a sweep's input traces are part of it, so the job
-	// is planned first, once: the plan hashes the traces for the key, and
-	// the run executes the cells it planned.
-	traceHashes, run, err := sp.plan()
+	// is planned first, once: the key hashes the traces the plan generated,
+	// and the run executes the cells it planned. `bctool X` runs the same
+	// plan and run (Run), without the cache and the worker pool.
+	env := Env{
+		Jobs: s.opts.Jobs,
+		Progress: func(msg string) {
+			j.addEvent("progress", msg)
+		},
+		workers: s.opts.Workers,
+		pool:    s.pool,
+	}
+	inputs, run, err := sp.plan(env)
 	if err != nil {
 		s.finish(j, "", stats.Snapshot{}, err, start)
 		return
 	}
-	key, err := cacheKey(s.version, j.Req, traceHashes)
+	key, err := cacheKey(s.version, j.Req, inputs)
 	if err != nil {
 		s.finish(j, "", stats.Snapshot{}, err, start)
 		return
@@ -386,15 +395,7 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 		return
 	}
 
-	env := jobEnv{
-		jobs:    s.opts.Jobs,
-		workers: s.opts.Workers,
-		pool:    s.pool,
-		progress: func(msg string) {
-			j.addEvent("progress", msg)
-		},
-	}
-	art, snap, err := run(jctx, env)
+	art, snap, err := run(jctx)
 	if err == nil {
 		s.cache.put(key, art)
 	}

@@ -48,7 +48,7 @@ func TestServeSweepMatchesInProcess(t *testing.T) {
 	ctx := context.Background()
 	req := tinySweepRequest()
 
-	cells, _, err := req.Sweep.cells(true)
+	cells, _, err := req.Sweep.cells(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +134,17 @@ func TestValidateGeneratesNothing(t *testing.T) {
 // the same cache entry.
 func TestServeWorkersDontChangeCacheKey(t *testing.T) {
 	req := tinySweepRequest()
-	hashes, _, err := req.Sweep.plan()
+	inputs, _, err := req.Sweep.plan(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, err := cacheKey("v", req, hashes)
+	k1, err := cacheKey("v", req, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req2 := tinySweepRequest()
 	req2.Sweep.Workers = 4
-	k2, err := cacheKey("v", req2, hashes)
+	k2, err := cacheKey("v", req2, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +153,14 @@ func TestServeWorkersDontChangeCacheKey(t *testing.T) {
 	}
 	req3 := tinySweepRequest()
 	req3.Sweep.GenOps = 128
-	k3, err := cacheKey("v", req3, hashes)
+	k3, err := cacheKey("v", req3, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k3 == k1 {
 		t.Error("cache key ignores a generator knob that changes the grid")
 	}
-	if k4, _ := cacheKey("v2", req, hashes); k4 == k1 {
+	if k4, _ := cacheKey("v2", req, inputs); k4 == k1 {
 		t.Error("cache key ignores the code version")
 	}
 }
